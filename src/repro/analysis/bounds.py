@@ -76,7 +76,6 @@ from repro.analysis.diagnostics import Diagnostic, Span
 from repro.analysis.routing import routing_model
 from repro.machine.kinds import ADDRESSABLE, MemKind, ProcKind
 from repro.machine.model import Machine
-from repro.machine.topology import Topology
 from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
 from repro.runtime.copies import DMA_EFFICIENCY
@@ -396,16 +395,9 @@ class StaticBoundAnalyzer:
             if total > 0:
                 self._channel_bw[mem.uid] = DMA_EFFICIENCY * total
 
-        #: The executor's channel-path routes (shared per machine).
+        #: The executor's channel-path routes (shared per machine); its
+        #: topology also serves the schedule replay's hop-level copies.
         self._routing = routing_model(machine)
-        #: The executor's own hop-level topology, for the schedule
-        #: replay's exact copy arithmetic.
-        self._topology = Topology(machine)
-        # Routed-vs-incident tightening observed across fresh full
-        # breakdowns (ratio >= 1; the report uses the deterministic
-        # :meth:`gap_ratio` of one mapping instead of this running mean).
-        self._gap_sum = 0.0
-        self._gap_count = 0
 
         # Caches (all keyed on deterministic values).
         self._node_count_cache: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
@@ -804,7 +796,7 @@ class StaticBoundAnalyzer:
         """Mirror one ``CopyEngine.execute``: route the piece over the
         executor's hop path, reserving each hop on the mirrored channel
         timelines.  Returns the copy's lower-bound finish time."""
-        path = self._topology.copy_path(src, dst)
+        path = self._routing.topology.copy_path(src, dst)
         time = max(ready, src_time)
         if path is None or not path.hops:
             return time
@@ -1054,9 +1046,6 @@ class StaticBoundAnalyzer:
                 comm_channel_share=share,
                 schedule=schedule,
             )
-            if incident > 0.0:
-                self._gap_sum += comm / incident
-                self._gap_count += 1
         self._breakdown_cache[key] = result
         return result
 
@@ -1074,23 +1063,15 @@ class StaticBoundAnalyzer:
         """Sound lower bound on ``Simulator.run(mapping).makespan``."""
         return self.breakdown(mapping).total
 
-    @property
-    def bound_gap_ratio(self) -> float:
-        """Mean routed/incident tightening over every fresh full
-        breakdown this analyzer computed (1.0 when none had traffic)."""
-        if self._gap_count == 0:
-            return 1.0
-        return self._gap_sum / self._gap_count
-
     def gap_ratio(self, mapping: Mapping) -> float:
         """Routed-vs-incident tightening for one mapping: how much the
         channel-path congestion bound improves on the incident aggregate
         (>= 1.0; exactly 1.0 when the mapping moves no bytes).
 
-        A pure function of ``(graph, machine, mapping)`` — unlike the
-        running mean above, it does not depend on which candidates the
-        search happened to bound, so reports built from it stay
-        bit-identical across checkpoint/resume.
+        A pure function of ``(graph, machine, mapping)``: it does not
+        depend on which candidates the search happened to bound, so
+        reports built from it stay bit-identical across
+        checkpoint/resume.
         """
         bd = self.breakdown(mapping)
         if bd.communication_incident <= 0.0:
@@ -1105,7 +1086,11 @@ class StaticBoundAnalyzer:
         that dominates the full breakdown, so it is the right price for
         *ordering* decisions — seeding and best-bound-first move
         ranking — where only the relative ranking matters and a sound
-        but loose value cannot change correctness.
+        but loose value cannot change correctness.  It takes its max
+        over the same :meth:`_chain_components` floats as
+        :meth:`breakdown`, so ``quick_bound(m) <= lower_bound(m)``
+        holds exactly: the oracle prunes on it first and walks traffic
+        only when it cannot decide.
         """
         key = mapping.key()
         cached = self._quick_cache.get(key)

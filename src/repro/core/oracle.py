@@ -17,9 +17,18 @@ measurement protocol of §5 and the accounting of §5.3:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    TypeVar,
+)
 
 from repro.analysis.bounds import FLOAT_SAFETY
 from repro.obs.metrics import MetricsRegistry, WallBudget
@@ -37,6 +46,64 @@ from repro.util.logging import get_logger, kv
 __all__ = ["OracleConfig", "SimulationOracle"]
 
 _LOG = get_logger("core.oracle")
+
+T = TypeVar("T")
+
+
+class _CandidateBound:
+    """One candidate's lower bound on its measured mean, priced in two
+    tiers on the spill-planned mapping ``executed``: ``quick`` (critical
+    path and load) when the entry is created, ``full`` (adds the traffic
+    walk and schedule replay) only when a decision needs it.  Both are
+    scaled by the same noise ``factor`` and ``FLOAT_SAFETY``, and the
+    analyzer's quick bound is the max over a subset of the full bound's
+    floats, so ``quick <= full`` exactly."""
+
+    __slots__ = ("executed", "factor", "quick", "full")
+
+    def __init__(self, executed: Mapping, factor: float, quick: float):
+        self.executed = executed
+        self.factor = factor
+        self.quick = quick
+        self.full: Optional[float] = None
+
+
+def best_bound_first(
+    items: Iterable[T],
+    quick: Callable[[T], Optional[float]],
+    full: Callable[[T], float],
+    cutoff: Callable[[], float],
+) -> Iterator[T]:
+    """Yield ``items`` in ascending ``full`` order, computing ``full``
+    only for items that reach the front.
+
+    The order is exactly a stable sort by full bound: equal bounds keep
+    input order, and items without a bound (``quick`` is ``None``) come
+    first.  Each item enters a heap keyed ``(quick, index)`` and is
+    re-keyed ``(full, index)`` when it first reaches the front; since
+    ``quick <= full``, an item popped with its full key is below every
+    remaining item's full key.  Iteration stops as soon as the front key
+    exceeds ``cutoff()`` (read before every item, so it may tighten as
+    the caller consumes items): every remaining full bound is at least
+    that key.
+    """
+    heap = []
+    for index, item in enumerate(items):
+        value = quick(item)
+        if value is None:
+            heap.append((-math.inf, index, True, item))
+        else:
+            heap.append((value, index, False, item))
+    heapq.heapify(heap)
+    while heap:
+        value, index, refined, item = heap[0]
+        if value > cutoff():
+            return
+        if refined:
+            heapq.heappop(heap)
+            yield item
+        else:
+            heapq.heapreplace(heap, (full(item), index, True, item))
 
 
 @dataclass(frozen=True)
@@ -160,8 +227,9 @@ class SimulationOracle:
         #: Bound-pruned candidates in pruning order (canonical key →
         #: mapping), revisited by :meth:`settle_pruned`.
         self._bound_ledger: Dict[tuple, Mapping] = {}
-        #: Per-candidate bound on measured mean (None = no sound bound).
-        self._bound_cache: Dict[tuple, Optional[float]] = {}
+        #: Per-candidate tiered bound on measured mean (None = no sound
+        #: bound).
+        self._bound_cache: Dict[tuple, Optional[_CandidateBound]] = {}
         #: Keys whose profile records exist only because of settling —
         #: excluded from checkpoint replay ledgers, since an
         #: uninterrupted run never *evaluated* them.
@@ -223,14 +291,6 @@ class SimulationOracle:
         if self.canonicalizer is None:
             return 0
         return getattr(self.canonicalizer, "symmetry_folds", 0)
-
-    @property
-    def bound_gap_ratio(self) -> float:
-        """Mean routed-vs-incident tightening over the bounds this
-        oracle computed (1.0 without a bound analyzer)."""
-        if self.bounds is None:
-            return 1.0
-        return getattr(self.bounds, "bound_gap_ratio", 1.0)
 
     @property
     def settled_keys(self) -> frozenset:
@@ -400,8 +460,8 @@ class SimulationOracle:
                     performance=INFEASIBLE, failed=True, reason=oom
                 )
 
-        if self.would_bound_prune(mapping):
-            lb_perf = self._bound_perf(mapping)
+        lb_perf = self._pruning_bound(mapping)
+        if lb_perf is not None:
             self._bound_pruned.inc()
             self._bound_ledger.setdefault(mapping.key(), mapping)
             # Not recorded in profiles: the measured mean is unknown.
@@ -455,15 +515,18 @@ class SimulationOracle:
     # ------------------------------------------------------------------
     # Bound-based pruning (see repro.analysis.bounds)
     # ------------------------------------------------------------------
-    def _bound_perf(self, mapping: Mapping) -> Optional[float]:
-        """A sound lower bound on the mean performance :meth:`_evaluate`
-        would report for ``mapping`` (already canonical), or ``None``
-        when no sound bound exists.
+    def _candidate_bound(
+        self, mapping: Mapping
+    ) -> Optional[_CandidateBound]:
+        """The tiered lower bound on the mean performance
+        :meth:`_evaluate` would report for ``mapping`` (already
+        canonical), or ``None`` when no sound bound exists.
 
         The makespan bound is priced on the mapping the simulator would
         actually execute (spill demotions applied) and scaled by the
         candidate's exact mean noise factor; the extra ``FLOAT_SAFETY``
-        deflation dwarfs the rounding of the sample-mean sum.
+        deflation dwarfs the rounding of the sample-mean sum.  Only the
+        quick tier is priced here; :meth:`_full_bound` adds the rest.
         """
         key = mapping.key()
         if key in self._bound_cache:
@@ -472,28 +535,50 @@ class SimulationOracle:
             executed = self.simulator.spill_plan(mapping)
         except OOMError:
             # Let the normal path record the runtime OOM failure.
-            value: Optional[float] = None
+            bound: Optional[_CandidateBound] = None
         else:
-            lower = self.bounds.lower_bound(executed)
             factor = self.simulator.noise.mean_factor(
                 key, self.config.runs_per_eval
             )
-            value = lower * factor * FLOAT_SAFETY
-        self._bound_cache[key] = value
-        return value
+            quick = self.bounds.quick_bound(executed) * factor * FLOAT_SAFETY
+            bound = _CandidateBound(executed, factor, quick)
+        self._bound_cache[key] = bound
+        return bound
+
+    def _full_bound(self, bound: _CandidateBound) -> float:
+        """The full-tier value of ``bound``, walking traffic once."""
+        if bound.full is None:
+            lower = self.bounds.lower_bound(bound.executed)
+            bound.full = lower * bound.factor * FLOAT_SAFETY
+        return bound.full
+
+    def _pruning_bound(self, mapping: Mapping) -> Optional[float]:
+        """The bound that proves ``mapping`` (canonical) cannot beat the
+        incumbent right now, or ``None`` when it might.
+
+        The quick tier decides whenever it already reaches the
+        incumbent; the full tier is priced only when the decision is
+        still open.  Since ``quick <= full``, the decision is the one
+        the full bound alone would make."""
+        if self.bounds is None or self.config.metric is not None:
+            return None
+        best = self.best_performance
+        if not math.isfinite(best):
+            return None
+        bound = self._candidate_bound(mapping)
+        if bound is None:
+            return None
+        if bound.quick >= best:
+            return bound.quick
+        full = self._full_bound(bound)
+        return full if full >= best else None
 
     def would_bound_prune(self, mapping: Mapping) -> bool:
         """Whether :meth:`evaluate` would reject ``mapping`` (canonical)
         on its static bound right now.  Used by the batch layer to skip
         prefetching doomed candidates; monotone over a search, since the
         incumbent only improves."""
-        if self.bounds is None or self.config.metric is not None:
-            return False
-        best = self.best_performance
-        if not math.isfinite(best):
-            return False
-        lb_perf = self._bound_perf(mapping)
-        return lb_perf is not None and lb_perf >= best
+        return self._pruning_bound(mapping) is not None
 
     def settle_pruned(self, top_n: int) -> int:
         """Measure the pruned candidates that could reach the top-``n``
@@ -503,14 +588,15 @@ class SimulationOracle:
         A pruned candidate is skipped only when its bound already
         exceeds the ``top_n``-th best recorded mean: its true mean is
         then provably worse, so it could not be a finalist in the
-        unpruned run either.  Candidates settle best-bound-first and
-        the cut-off is recomputed after every new record — each settled
-        mean can only tighten (never relax) the ``top_n``-th best, so a
-        skip against an intermediate threshold implies a skip against
-        the final one, and the surviving top-``n`` is exactly the
-        unpruned run's.  Settled candidates get the exact offset-0
-        samples :meth:`_evaluate` would have drawn; search accounting
-        (evaluated/failed counters, clocks, trace, best) is
+        unpruned run either.  Candidates settle best-bound-first (see
+        :func:`best_bound_first`: ascending full bound, ties in pruning
+        order) and the cut-off is recomputed before every candidate —
+        each settled mean can only tighten (never relax) the
+        ``top_n``-th best, so a skip against an intermediate threshold
+        implies a skip against the final one, and the surviving top-``n``
+        is exactly the unpruned run's.  Settled candidates get the exact
+        offset-0 samples :meth:`_evaluate` would have drawn; search
+        accounting (evaluated/failed counters, clocks, trace, best) is
         deliberately untouched — settling happens after the search.
         """
         settled = 0
@@ -521,25 +607,19 @@ class SimulationOracle:
             ranked = self.profiles.best(top_n)
             return ranked[-1].mean if len(ranked) >= top_n else math.inf
 
-        pending = list(self._bound_ledger.items())
-        # Best-bound-first; the stable sort keeps equal bounds in
-        # pruning order, so the settle order is deterministic.  An
-        # unboundable candidate can never be excluded — settle it first.
-        pending.sort(
-            key=lambda item: (
-                -math.inf
-                if self._bound_perf(item[1]) is None
-                else self._bound_perf(item[1])
-            )
-        )
-        for key, mapping in pending:
+        def quick(mapping: Mapping) -> Optional[float]:
+            bound = self._candidate_bound(mapping)
+            return None if bound is None else bound.quick
+
+        def full(mapping: Mapping) -> float:
+            return self._full_bound(self._candidate_bound(mapping))
+
+        for mapping in best_bound_first(
+            self._bound_ledger.values(), quick, full, threshold
+        ):
             if self.profiles.lookup(mapping) is not None:
                 continue
-            lb_perf = self._bound_perf(mapping)
-            if lb_perf is not None and lb_perf > threshold():
-                # Bounds are sorted ascending and the threshold only
-                # tightens: every remaining candidate is excluded too.
-                break
+            key = mapping.key()
             if self.feasibility is not None:
                 oom = self.feasibility.oom_reason(mapping)
                 if oom is not None:

@@ -163,7 +163,11 @@ class ResultCache:
         if not path.exists():
             return None
         self._touch(entry)
-        return path.read_bytes()
+        try:
+            return path.read_bytes()
+        except FileNotFoundError:
+            # A concurrent evict() removed the entry after the check.
+            return None
 
     # ------------------------------------------------------------------
     # Near-equivalence class index

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.bounds import StaticBoundAnalyzer
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import AutoMapDriver, OracleConfig, SimulationOracle
 from repro.machine import lassen, shepard
 from repro.runtime import SimConfig
 
@@ -57,14 +58,43 @@ def _improvements(report):
 
 
 @pytest.fixture(scope="module")
-def report_pairs():
-    return {
-        (app, factory.__name__, algo): (
-            _tune(app, factory, algo, True),
+def tuned():
+    """Both tunes of every config, plus two counts over the pruned
+    tunes: full-bound walks and distinct bound-pruned candidates."""
+    walks = 0
+    pruned = set()
+    lower_bound = StaticBoundAnalyzer.lower_bound
+    evaluate = SimulationOracle.evaluate
+
+    def counting_lower_bound(self, mapping):
+        nonlocal walks
+        walks += 1
+        return lower_bound(self, mapping)
+
+    def recording_evaluate(self, mapping):
+        outcome = evaluate(self, mapping)
+        if (outcome.reason or "").startswith("bound-pruned"):
+            pruned.add((id(self), self.canonical(mapping).key()))
+        return outcome
+
+    pairs = {}
+    for app, factory, algo in CONFIGS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                StaticBoundAnalyzer, "lower_bound", counting_lower_bound
+            )
+            patch.setattr(SimulationOracle, "evaluate", recording_evaluate)
+            with_prune = _tune(app, factory, algo, True)
+        pairs[(app, factory.__name__, algo)] = (
+            with_prune,
             _tune(app, factory, algo, False),
         )
-        for app, factory, algo in CONFIGS
-    }
+    return pairs, walks, len(pruned)
+
+
+@pytest.fixture(scope="module")
+def report_pairs(tuned):
+    return tuned[0]
 
 
 class TestBoundPruneAcceptance:
@@ -114,3 +144,12 @@ class TestBoundPruneAcceptance:
             assert "bound pruning" not in full.describe()
             if pruned.bound_pruned:
                 assert "bound pruning" in pruned.describe()
+
+    def test_quick_bound_spares_full_walks(self, tuned):
+        """Tiered pricing: a candidate whose quick bound already reaches
+        the incumbent is pruned without a full bound, and settling walks
+        only the candidates it reaches — so across the configs there
+        are fewer full walks than distinct pruned candidates."""
+        _pairs, walks, pruned = tuned
+        assert pruned > 0
+        assert walks < pruned, (walks, pruned)

@@ -3,6 +3,7 @@ entries/metadata views behind ``GET /cache`` and ``repro cache``."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -136,21 +137,38 @@ class TestClassIndex:
 class TestConcurrentEviction:
     def test_readers_race_eviction_safely(self, tmp_path):
         """A reader concurrent with evict() sees the full bytes or a
-        clean miss — never a torn entry."""
+        clean miss — never a torn entry and never an exception."""
         cache = ResultCache(tmp_path)
         errors = []
+        raised = []
+        reads = []
 
         def reader():
-            for _ in range(200):
-                data = cache.read(_fp(0), "result.json")
-                if data is not None and data != RESULT:
-                    errors.append(data)
+            try:
+                for _ in range(200):
+                    data = cache.read(_fp(0), "result.json")
+                    if data is not None and data != RESULT:
+                        errors.append(data)
+                    reads.append(data)
+            except Exception as exc:  # asserted below, in the test thread
+                raised.append(exc)
 
         cache.put(_fp(0), {"result.json": RESULT})
-        thread = threading.Thread(target=reader)
-        thread.start()
-        for _ in range(50):
-            cache.evict(_fp(0))
-            cache.put(_fp(0), {"result.json": RESULT})
-        thread.join()
+        # A short switch interval interleaves the threads between the
+        # reader's existence check and its read, where eviction races.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=reader)
+            thread.start()
+            deadline = time.monotonic() + 30
+            while thread.is_alive() and time.monotonic() < deadline:
+                cache.evict(_fp(0))
+                cache.put(_fp(0), {"result.json": RESULT})
+            thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not raised, raised
+        assert len(reads) == 200
         assert not errors

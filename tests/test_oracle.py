@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.bounds import FLOAT_SAFETY
 from repro.core import OracleConfig, SimulationOracle
 from repro.machine.kinds import ProcKind
 from repro.mapping import SearchSpace
@@ -147,3 +148,69 @@ class TestMeasureMore:
         oracle.measure_more(mapping, 10)
         record = oracle.profiles.lookup(mapping)
         assert len(set(record.samples)) == record.count  # all distinct
+
+
+class _StubBounds:
+    """A bound analyzer with fixed tier values that counts full walks."""
+
+    def __init__(self, quick: float, full: float) -> None:
+        self.quick = quick
+        self.full = full
+        self.full_calls = 0
+
+    def quick_bound(self, mapping):
+        return self.quick
+
+    def lower_bound(self, mapping):
+        self.full_calls += 1
+        return self.full
+
+
+class TestTieredBoundPrune:
+    """The quick bound decides first; the full bound is walked only
+    while the prune decision is still open."""
+
+    INCUMBENT = 1.0
+
+    def _oracle(self, diamond_graph, mini_machine, quick, full):
+        # Noise-free, so the mean factor is exactly 1.
+        sim = Simulator(diamond_graph, mini_machine, SimConfig(noise_sigma=0))
+        bounds = _StubBounds(quick, full)
+        oracle = SimulationOracle(sim, OracleConfig(), bounds=bounds)
+        oracle.best_performance = self.INCUMBENT
+        return oracle, bounds
+
+    def test_quick_bound_decides_without_full_walk(
+        self, diamond_graph, mini_machine, diamond_space
+    ):
+        oracle, bounds = self._oracle(diamond_graph, mini_machine, 2.0, 3.0)
+        mapping = diamond_space.default_mapping()
+        assert oracle.would_bound_prune(mapping)
+        outcome = oracle.evaluate(mapping)
+        assert bounds.full_calls == 0
+        # The pruned outcome carries the bound that decided.
+        assert outcome.performance == 2.0 * FLOAT_SAFETY
+        assert oracle.bound_pruned == 1
+
+    def test_full_bound_walked_when_quick_is_open(
+        self, diamond_graph, mini_machine, diamond_space
+    ):
+        oracle, bounds = self._oracle(diamond_graph, mini_machine, 0.5, 2.0)
+        mapping = diamond_space.default_mapping()
+        assert oracle.would_bound_prune(mapping)
+        assert bounds.full_calls == 1
+        outcome = oracle.evaluate(mapping)
+        assert bounds.full_calls == 1  # priced once per candidate
+        assert outcome.performance == 2.0 * FLOAT_SAFETY
+
+    def test_no_prune_when_full_bound_is_below_incumbent(
+        self, diamond_graph, mini_machine, diamond_space
+    ):
+        oracle, bounds = self._oracle(diamond_graph, mini_machine, 0.5, 0.8)
+        mapping = diamond_space.default_mapping()
+        assert not oracle.would_bound_prune(mapping)
+        assert bounds.full_calls == 1
+        outcome = oracle.evaluate(mapping)
+        assert oracle.bound_pruned == 0
+        assert oracle.evaluated == 1
+        assert outcome.performance < INFEASIBLE
