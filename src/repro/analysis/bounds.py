@@ -301,18 +301,19 @@ class _FlowMap:
 
 class _CommState:
     """Accumulated flow-walk state: per-root flow maps, the integer
-    traffic tallies, and the schedule-replay timelines (per-launch
-    finish floors, per-processor and per-channel ``free_at`` mirrors).
+    traffic tally, and the schedule-replay timelines (per-launch finish
+    floors, per-processor and per-channel ``free_at`` mirrors).
     The walk state is a deterministic function of the mapping prefix it
     consumed, so any prefix/suffix recomposition of the walk reproduces
-    the same final state bit-for-bit."""
+    the same final state bit-for-bit.
+
+    Snapshots are copy-on-write: :meth:`clone` shares the flow maps, and
+    the walk clones a root's map the first time it touches it after a
+    snapshot or restore, so a snapshot is never mutated."""
 
     __slots__ = (
         "flows",
-        "ingress",
-        "egress",
-        "edge_bytes",
-        "pair_bytes",
+        "tally",
         "finish",
         "proc_free",
         "chan_free",
@@ -320,11 +321,9 @@ class _CommState:
 
     def __init__(self) -> None:
         self.flows: Dict[str, _FlowMap] = {}
-        self.ingress: Dict[str, int] = {}
-        self.egress: Dict[str, int] = {}
-        self.edge_bytes: Dict[Tuple[str, str, str], int] = {}
-        #: (src mem uid, dst mem uid) -> bytes; feeds the routed bound.
-        self.pair_bytes: Dict[Tuple[str, str], int] = {}
+        #: (src mem uid, dst mem uid, root, consumer kind) -> bytes; the
+        #: per-memory, per-pair and per-edge totals are summed from it.
+        self.tally: Dict[Tuple[str, str, str, str], int] = {}
         #: launch uid -> lower bound on its group finish time.
         self.finish: Dict[str, float] = {}
         #: concrete processor uid -> mirrored timeline ``free_at``.
@@ -334,11 +333,8 @@ class _CommState:
 
     def clone(self) -> "_CommState":
         copy = _CommState.__new__(_CommState)
-        copy.flows = {root: fm.clone() for root, fm in self.flows.items()}
-        copy.ingress = dict(self.ingress)
-        copy.egress = dict(self.egress)
-        copy.edge_bytes = dict(self.edge_bytes)
-        copy.pair_bytes = dict(self.pair_bytes)
+        copy.flows = dict(self.flows)
+        copy.tally = dict(self.tally)
         copy.finish = dict(self.finish)
         copy.proc_free = dict(self.proc_free)
         copy.chan_free = dict(self.chan_free)
@@ -355,6 +351,9 @@ class StaticBoundAnalyzer:
         self._placer = Placer(machine)
         self._order = graph.topological_order()
         self._kind_names = {k.name for k in graph.task_kinds}
+        #: launch uid -> interned shape id: identical launches share
+        #: every per-(launch, decision) cache entry below.
+        self._shape_of = graph.shape_ids()
 
         # Best-case device characteristics per kind shape.
         self._max_throughput: Dict[ProcKind, float] = {}
@@ -402,8 +401,7 @@ class StaticBoundAnalyzer:
         # Caches (all keyed on deterministic values).
         self._node_count_cache: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
         self._duration_cache: Dict[Tuple, float] = {}
-        self._best_duration_cache: Dict[str, Tuple[float, int]] = {}
-        self._placement_cache: Dict[Tuple, Tuple[Tuple[str, ...], ...]] = {}
+        self._best_duration_cache: Dict[int, Tuple[float, int]] = {}
         self._interval_cache: Dict[Tuple, Tuple[Tuple[int, int], ...]] = {}
         self._breakdown_cache: Dict[Tuple, BoundBreakdown] = {}
         self._quick_cache: Dict[Tuple, float] = {}
@@ -472,7 +470,7 @@ class StaticBoundAnalyzer:
         Returns ``None`` when a slot's memory kind is unreachable from
         ``pk`` on this machine (an invalid option).
         """
-        key = (launch.uid, pk, mem_kinds)
+        key = (self._shape_of[launch.uid], pk, mem_kinds)
         cached = self._duration_cache.get(key)
         if cached is not None:
             return cached
@@ -505,7 +503,8 @@ class StaticBoundAnalyzer:
         The two minima are taken independently (a sound under-estimate
         even if no single decision achieves both).
         """
-        cached = self._best_duration_cache.get(launch.uid)
+        shape = self._shape_of[launch.uid]
+        cached = self._best_duration_cache.get(shape)
         if cached is not None:
             return cached
         best_d: Optional[float] = None
@@ -557,30 +556,13 @@ class StaticBoundAnalyzer:
                 if best_m is None or factor < best_m:
                     best_m = factor
         result = (best_d or 0.0, best_m or 0)
-        self._best_duration_cache[launch.uid] = result
+        self._best_duration_cache[shape] = result
         return result
-
-    def _placements(
-        self, launch: TaskLaunch, decision: MappingDecision
-    ) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, ...], ...]]:
-        """Placer mirror: per-point processor uids and per-point
-        per-slot memory uids, cached per (launch, decision)."""
-        key = (launch.uid, decision.key())
-        cached = self._placement_cache.get(key)
-        if cached is None:
-            placements = self._placer.place_launch(launch, decision)
-            procs = tuple(p.proc.uid for p in placements)
-            mems = tuple(
-                tuple(m.uid for m in p.mems) for p in placements
-            )
-            cached = (procs, mems)
-            self._placement_cache[key] = cached
-        return cached
 
     def _shard_intervals(
         self, launch: TaskLaunch, slot_index: int, for_write: bool
     ) -> Tuple[Tuple[int, int], ...]:
-        key = (launch.uid, slot_index, for_write)
+        key = (self._shape_of[launch.uid], slot_index, for_write)
         cached = self._interval_cache.get(key)
         if cached is None:
             cached = tuple(
@@ -655,9 +637,12 @@ class StaticBoundAnalyzer:
         load = max(busy.values(), default=0.0)
         return cp, load
 
-    def _replay_ops(self, launch: TaskLaunch, decision) -> Optional[Tuple]:
+    def _replay_ops(
+        self, launch: TaskLaunch, decision: MappingDecision
+    ) -> Optional[Tuple]:
         """The launch's schedule-replay operations under ``decision`` —
-        a pure function of the pair, cached across the search chain.
+        a pure function of the launch's shape and the decision, cached
+        across the search chain and shared by identical launches.
 
         Returns ``(points, writes)``: ``points`` is a tuple, one entry
         per point task in placement order, of ``(proc_uid, duration,
@@ -669,85 +654,76 @@ class StaticBoundAnalyzer:
         provably cannot change the flow state).  ``None`` marks an
         invalid decision (no placement, no flow, no schedule).
         """
-        key = (launch.uid, decision.key())
-        if key in self._replay_ops_cache:
-            return self._replay_ops_cache[key]
-        ops: Optional[Tuple]
-        try:
-            point_procs, point_mems = self._placements(launch, decision)
-        except ValueError:
-            ops = None
-        else:
-            read_slots = [
-                (i, launch.args[i].root, self._shard_intervals(launch, i, False))
-                for i, slot in enumerate(launch.kind.slots)
-                if slot.privilege.reads
-            ]
-            write_slots = [
-                (i, launch.args[i].root, self._shard_intervals(launch, i, True))
-                for i, slot in enumerate(launch.kind.slots)
-                if slot.privilege.writes
-            ]
-            point_flops = launch.flops / launch.size
-            gpu_adjust = (
-                launch.kind.gpu_speedup
-                if decision.proc_kind == ProcKind.GPU
-                else 1.0
+        key = (self._shape_of[launch.uid], decision.key())
+        if key not in self._replay_ops_cache:
+            self._replay_ops_cache[key] = self._compute_replay_ops(
+                launch, decision
             )
-            points = []
-            ops = None
-            for point in range(launch.size):
-                proc_uid = point_procs[point]
-                proc = self.machine.processor(proc_uid)
-                access_seconds = 0.0
-                for slot_index, slot in enumerate(launch.kind.slots):
-                    link = self.machine.access_link(
-                        proc_uid, point_mems[point][slot_index]
-                    )
-                    if link is None:  # unreachable slot: invalid decision
-                        break
-                    passes = int(slot.privilege.reads) + int(
-                        slot.privilege.writes
-                    )
-                    bytes_pp = launch.arg_bytes_per_point(slot_index)
-                    access_seconds += (
-                        link.latency + bytes_pp / link.bandwidth
-                    ) * passes
-                else:
-                    compute_seconds = 0.0
-                    if point_flops > 0:
-                        compute_seconds = point_flops / (
-                            proc.throughput * gpu_adjust
-                        )
-                    duration = (
-                        proc.launch_overhead
-                        + compute_seconds
-                        + access_seconds
-                    )
-                    reads = tuple(
-                        (root, point_mems[point][slot_index], lo, hi)
-                        for slot_index, root, intervals in read_slots
-                        for lo, hi in (intervals[point],)
-                        if hi > lo
-                    )
-                    points.append((proc_uid, duration, reads))
-                    continue
-                break  # a slot was unreachable; whole launch is invalid
-            if len(points) == launch.size:
-                writes = []
-                for point in range(launch.size):
-                    for slot_index, root, intervals in write_slots:
-                        lo, hi = intervals[point]
-                        if hi > lo:
-                            writes.append(
-                                (root, lo, hi, point_mems[point][slot_index])
-                            )
-                ops = (
-                    tuple(points),
-                    tuple(self._coalesce_writes(writes)),
-                )
-        self._replay_ops_cache[key] = ops
-        return ops
+        return self._replay_ops_cache[key]
+
+    def _compute_replay_ops(
+        self, launch: TaskLaunch, decision: MappingDecision
+    ) -> Optional[Tuple]:
+        try:
+            placements = self._placer.place_launch(launch, decision)
+        except ValueError:
+            return None
+        # Per-slot terms that do not depend on the point.
+        slot_terms = [
+            (
+                int(slot.privilege.reads) + int(slot.privilege.writes),
+                launch.arg_bytes_per_point(slot_index),
+            )
+            for slot_index, slot in enumerate(launch.kind.slots)
+        ]
+        read_slots = [
+            (i, launch.args[i].root, self._shard_intervals(launch, i, False))
+            for i, slot in enumerate(launch.kind.slots)
+            if slot.privilege.reads
+        ]
+        write_slots = [
+            (i, launch.args[i].root, self._shard_intervals(launch, i, True))
+            for i, slot in enumerate(launch.kind.slots)
+            if slot.privilege.writes
+        ]
+        point_flops = launch.flops / launch.size
+        gpu_adjust = (
+            launch.kind.gpu_speedup
+            if decision.proc_kind == ProcKind.GPU
+            else 1.0
+        )
+        points = []
+        writes = []
+        for placement in placements:
+            proc = placement.proc
+            point = placement.point
+            mems = [mem.uid for mem in placement.mems]
+            access_seconds = 0.0
+            for mem_uid, (passes, bytes_pp) in zip(mems, slot_terms):
+                link = self.machine.access_link(proc.uid, mem_uid)
+                if link is None:  # unreachable slot: invalid decision
+                    return None
+                access_seconds += (
+                    link.latency + bytes_pp / link.bandwidth
+                ) * passes
+            compute_seconds = 0.0
+            if point_flops > 0:
+                compute_seconds = point_flops / (proc.throughput * gpu_adjust)
+            duration = proc.launch_overhead + compute_seconds + access_seconds
+            reads = tuple(
+                (root, mems[slot_index], lo, hi)
+                for slot_index, root, intervals in read_slots
+                for lo, hi in (intervals[point],)
+                if hi > lo
+            )
+            points.append((proc.uid, duration, reads))
+            # Write ops in (point, slot) order, like the executor's
+            # group-barrier commit.
+            for slot_index, root, intervals in write_slots:
+                lo, hi = intervals[point]
+                if hi > lo:
+                    writes.append((root, lo, hi, mems[slot_index]))
+        return tuple(points), tuple(self._coalesce_writes(writes))
 
     @staticmethod
     def _coalesce_writes(
@@ -796,15 +772,12 @@ class StaticBoundAnalyzer:
         """Mirror one ``CopyEngine.execute``: route the piece over the
         executor's hop path, reserving each hop on the mirrored channel
         timelines.  Returns the copy's lower-bound finish time."""
-        path = self._routing.topology.copy_path(src, dst)
+        hops = self._routing.hops(src, dst)
         time = max(ready, src_time)
-        if path is None or not path.hops:
+        if not hops:
             return time
-        for hop in path.hops:
-            duration = hop.latency + nbytes / (
-                hop.bandwidth * DMA_EFFICIENCY
-            )
-            key = _channel_key(hop.mem_a, hop.mem_b)
+        for key, latency, dma_bandwidth in hops:
+            duration = latency + nbytes / dma_bandwidth
             free = chan_free.get(key, 0.0)
             if free > time:
                 time = free
@@ -860,10 +833,11 @@ class StaticBoundAnalyzer:
         snapshots = self._comm_snapshots
         boundaries = self._comm_boundaries
         flows = state.flows
-        ingress = state.ingress
-        egress = state.egress
-        edge_bytes = state.edge_bytes
-        pair_bytes = state.pair_bytes
+        #: The flow maps this walk owns (cloned or created since the last
+        #: snapshot or restore); every other map in ``flows`` is shared
+        #: with a snapshot and is cloned before its first mutation.
+        owned: Dict[str, _FlowMap] = {}
+        tally = state.tally
         finish = state.finish
         proc_free = state.proc_free
         chan_free = state.chan_free
@@ -871,8 +845,10 @@ class StaticBoundAnalyzer:
         for launch_index in range(start, len(order)):
             if launch_index in boundaries and launch_index not in snapshots:
                 snapshots[launch_index] = state.clone()
+                owned = {}
             launch = order[launch_index]
-            decision = mapping.decision(launch.kind.name)
+            kind_name = launch.kind.name
+            decision = mapping.decision(kind_name)
             ops = self._replay_ops(launch, decision)
             # The group barrier: a launch starts no earlier than its
             # predecessors' mirrored finish times.
@@ -893,23 +869,16 @@ class StaticBoundAnalyzer:
             for proc_uid, duration, reads in points:
                 data_ready = ready
                 for root, dst, lo, hi in reads:
-                    flow = flows.get(root)
+                    flow = owned.get(root)
                     if flow is None:
-                        flow = flows[root] = _FlowMap()
+                        flow = _own_flow(flows, owned, root)
                     local, pieces = flow.read(lo, hi, dst)
                     if local > data_ready:
                         data_ready = local
                     for src, p_lo, p_hi, src_time in pieces:
                         nbytes = p_hi - p_lo
-                        ingress[dst] = ingress.get(dst, 0) + nbytes
-                        egress[src] = egress.get(src, 0) + nbytes
-                        pair = (src, dst)
-                        pair_bytes[pair] = pair_bytes.get(pair, 0) + nbytes
-                        for mem in (dst, src):
-                            edge = (mem, root, launch.kind.name)
-                            edge_bytes[edge] = (
-                                edge_bytes.get(edge, 0) + nbytes
-                            )
+                        entry = (src, dst, root, kind_name)
+                        tally[entry] = tally.get(entry, 0) + nbytes
                         done = self._replay_copy(
                             chan_free, src, dst, nbytes, ready, src_time
                         )
@@ -924,9 +893,9 @@ class StaticBoundAnalyzer:
                     launch_finish = point_finish
             # Writes commit after the whole group, in (point, slot) order.
             for root, lo, hi, mem in write_ops:
-                flow = flows.get(root)
+                flow = owned.get(root)
                 if flow is None:
-                    flow = flows[root] = _FlowMap()
+                    flow = _own_flow(flows, owned, root)
                 flow.write(lo, hi, mem, launch_finish)
             finish[launch.uid] = launch_finish
 
@@ -940,22 +909,38 @@ class StaticBoundAnalyzer:
             for kind_name in self._comm_first
         }
 
+        # Per-memory and per-pair totals, summed from the tally (integer
+        # sums, so the order of accumulation cannot matter).
+        traffic: Dict[str, int] = {}
+        pair_bytes: Dict[Tuple[str, str], int] = {}
+        for (src, dst, _root, _kind), nbytes in tally.items():
+            traffic[dst] = traffic.get(dst, 0) + nbytes
+            traffic[src] = traffic.get(src, 0) + nbytes
+            pair = (src, dst)
+            pair_bytes[pair] = pair_bytes.get(pair, 0) + nbytes
+
         incident = 0.0
         worst_mem: Optional[str] = None
-        for mem_uid in sorted(set(ingress) | set(egress)):
+        for mem_uid in sorted(traffic):
             denom = self._channel_bw.get(mem_uid)
             if denom is None:
                 continue  # no channels: the executor cannot copy here
-            traffic = ingress.get(mem_uid, 0) + egress.get(mem_uid, 0)
-            value = traffic / denom * FLOAT_SAFETY
+            value = traffic[mem_uid] / denom * FLOAT_SAFETY
             if value > incident:
                 incident = value
                 worst_mem = mem_uid
         edge: Optional[Tuple[str, str]] = None
         top_bytes = 0
         if worst_mem is not None:
-            for (mem, root, kind), nbytes in sorted(edge_bytes.items()):
-                if mem == worst_mem and nbytes > top_bytes:
+            # Bytes the worst memory sends or receives per (root, kind).
+            edge_bytes: Dict[Tuple[str, str], int] = {}
+            for (src, dst, root, kind), nbytes in tally.items():
+                for mem in (dst, src):
+                    if mem == worst_mem:
+                        key = (root, kind)
+                        edge_bytes[key] = edge_bytes.get(key, 0) + nbytes
+            for (root, kind), nbytes in sorted(edge_bytes.items()):
+                if nbytes > top_bytes:
                     top_bytes = nbytes
                     edge = (kind, root)
 
@@ -1237,11 +1222,16 @@ def bound_guided_mapping(space, analyzer: StaticBoundAnalyzer) -> Mapping:
     return mapping
 
 
-def _channel_key(mem_a: str, mem_b: str) -> str:
-    """The executor's channel timeline key (``CopyEngine._channel_key``
-    mirror), so mirrored reservations serialise exactly where it does."""
-    a, b = sorted((mem_a, mem_b))
-    return f"chan:{a}<->{b}"
+def _own_flow(
+    flows: Dict[str, _FlowMap], owned: Dict[str, _FlowMap], root: str
+) -> _FlowMap:
+    """Give the walk its own copy of ``root``'s flow map (a fresh one if
+    the root was never touched): the map in ``flows`` may be shared with
+    a snapshot, which must never change."""
+    shared = flows.get(root)
+    flow = shared.clone() if shared is not None else _FlowMap()
+    flows[root] = owned[root] = flow
+    return flow
 
 
 def _coalesce(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:

@@ -33,8 +33,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.diagnostics import Diagnostic, Span
 from repro.machine.model import Machine
 from repro.machine.topology import Topology
+from repro.runtime.copies import DMA_EFFICIENCY
 
 __all__ = ["RoutingModel", "channel_key", "routing_model"]
+
+#: One copy-path hop: (channel timeline key, latency, DMA bandwidth).
+Hop = Tuple[str, float, float]
 
 
 def channel_key(mem_a: str, mem_b: str) -> str:
@@ -67,9 +71,9 @@ class RoutingModel:
             self._bandwidth[channel_key(chan.mem_a, chan.mem_b)] = (
                 chan.bandwidth
             )
-        #: (src mem uid, dst mem uid) -> channel keys along the route,
-        #: or ``None`` when the pair is disconnected.
-        self._routes: Dict[Tuple[str, str], Optional[Tuple[str, ...]]] = {}
+        #: (src mem uid, dst mem uid) -> per-hop (key, latency, DMA
+        #: bandwidth), or ``None`` when the pair is disconnected.
+        self._hops: Dict[Tuple[str, str], Optional[Tuple[Hop, ...]]] = {}
 
     def route(self, src_uid: str, dst_uid: str) -> Optional[Tuple[str, ...]]:
         """Channel timeline keys a copy from ``src`` to ``dst`` crosses.
@@ -77,18 +81,38 @@ class RoutingModel:
         Returns an empty tuple when source equals destination and
         ``None`` when no channel path exists (the executor would raise).
         """
+        hops = self.hops(src_uid, dst_uid)
+        if hops is None:
+            return None
+        return tuple(key for key, _latency, _bandwidth in hops)
+
+    def hops(self, src_uid: str, dst_uid: str) -> Optional[Tuple[Hop, ...]]:
+        """Per-hop ``(channel key, latency, bandwidth * DMA_EFFICIENCY)``
+        of the copy path from ``src`` to ``dst``, in path order.
+
+        The last term is the very product
+        :meth:`repro.runtime.copies.CopyEngine.execute` divides a copy's
+        bytes by, so a hop-level replay built on it reproduces the
+        engine's duration floats.  Empty when source equals destination,
+        ``None`` when no channel path exists.
+        """
         key = (src_uid, dst_uid)
-        cached = self._routes.get(key, _MISSING)
+        cached = self._hops.get(key, _MISSING)
         if cached is not _MISSING:
             return cached
         path = self.topology.copy_path(src_uid, dst_uid)
         if path is None:
-            resolved: Optional[Tuple[str, ...]] = None
+            resolved: Optional[Tuple[Hop, ...]] = None
         else:
             resolved = tuple(
-                channel_key(hop.mem_a, hop.mem_b) for hop in path.hops
+                (
+                    channel_key(hop.mem_a, hop.mem_b),
+                    hop.latency,
+                    hop.bandwidth * DMA_EFFICIENCY,
+                )
+                for hop in path.hops
             )
-        self._routes[key] = resolved
+        self._hops[key] = resolved
         return resolved
 
     def channel_bandwidth(self, key: str) -> Optional[float]:

@@ -5,11 +5,13 @@ simulations share most of their event schedule.  This module exploits
 that in two layered ways:
 
 1. **Per-launch cost memoisation** (:class:`LaunchCostCache`): for a
-   given ``(launch, decision)`` pair, the placement set, per-point
+   given ``(launch shape, decision)`` pair, the placement set, per-point
    durations, read shards, and write shards are pure functions of the
    decision — independent of simulation state.  They are computed once,
    with the executor's exact float operation order, and every later
-   execution of that launch under that decision is a dict hit.
+   execution of that launch — or of any launch with the same
+   :attr:`~repro.taskgraph.task.TaskLaunch.shape` — under that decision
+   is a dict hit.
 
 2. **Schedule prefix replay** (:class:`IncrementalEngine`): the engine
    keeps state snapshots of the previously simulated mapping at every
@@ -138,7 +140,7 @@ class _PointCost:
 
 
 class LaunchCostCache:
-    """Memoised placement-derived costs per ``(launch, decision)``.
+    """Memoised placement-derived costs per ``(launch shape, decision)``.
 
     The cached duration is computed with the executor's exact float
     operation sequence (per-slot ``+=`` accumulation of access seconds,
@@ -148,22 +150,25 @@ class LaunchCostCache:
 
     def __init__(
         self,
+        graph: TaskGraph,
         machine: Machine,
         stats: Optional[IncrementalStats] = None,
     ) -> None:
         self.machine = machine
         self.placer = Placer(machine)
         self.stats = stats if stats is not None else IncrementalStats()
+        #: launch uid -> interned shape id (the per-launch cache key).
+        self._shape_of = graph.shape_ids()
         self._costs: Dict[tuple, Tuple[_PointCost, ...]] = {}
         #: Shard intervals are decision-independent, so they are shared
-        #: across every decision of a launch: (uid, slot, for_write) ->
-        #: per-point (lo, hi).
+        #: across every decision of a launch: (shape id, slot, for_write)
+        #: -> per-point (lo, hi).
         self._intervals: Dict[tuple, Tuple[Tuple[int, int], ...]] = {}
 
     def _shard_intervals(
         self, launch, slot_index: int, for_write: bool
     ) -> Tuple[Tuple[int, int], ...]:
-        key = (launch.uid, slot_index, for_write)
+        key = (self._shape_of[launch.uid], slot_index, for_write)
         cached = self._intervals.get(key)
         if cached is None:
             cached = tuple(
@@ -174,7 +179,7 @@ class LaunchCostCache:
         return cached
 
     def costs(self, launch, decision: MappingDecision) -> Tuple[_PointCost, ...]:
-        key = (launch.uid, decision.key())
+        key = (self._shape_of[launch.uid], decision.key())
         cached = self._costs.get(key)
         if cached is not None:
             self.stats.cost_hits += 1
@@ -329,7 +334,7 @@ class IncrementalEngine:
         self.machine = machine
         self.topology = Topology(machine)
         self.stats = stats if stats is not None else IncrementalStats()
-        self.costs = LaunchCostCache(machine, stats=self.stats)
+        self.costs = LaunchCostCache(graph, machine, stats=self.stats)
         self._order = graph.topological_order()
         # First launch index of each kind: state before that index can
         # only depend on *other* kinds' decisions... and earlier ones.

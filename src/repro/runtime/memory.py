@@ -113,9 +113,10 @@ class MemoryPlanner:
     """Static capacity analysis of a mapping on a machine.
 
     With ``memoize=True`` the per-launch shard lists — pure functions of
-    ``(launch, decision)`` — are cached, so repeated capacity walks over
-    a search chain skip the placement and interval arithmetic.  The walk
-    itself (accumulator operations, demotion order, error messages) is
+    the launch's shape and the decision — are cached and shared by
+    identical launches, so repeated capacity walks over a search chain
+    skip the placement and interval arithmetic.  The walk itself
+    (accumulator operations, demotion order, error messages) is
     unchanged, so memoised and unmemoised planners produce identical
     results byte-for-byte.
     """
@@ -126,6 +127,8 @@ class MemoryPlanner:
         self.graph = graph
         self.machine = machine
         self._placer = Placer(machine)
+        #: launch uid -> interned shape id (the per-launch cache key).
+        self._shape_of = graph.shape_ids()
         self._shard_cache: Optional[Dict[tuple, tuple]] = (
             {} if memoize else None
         )
@@ -145,11 +148,11 @@ class MemoryPlanner:
             self._contrib_cache = {}
             self._union_cache = {}
         #: Decision-independent per-point read shard intervals,
-        #: (launch.uid, slot) -> ((lo, hi), ...).
+        #: (shape id, slot) -> ((lo, hi), ...).
         self._interval_cache: Dict[tuple, tuple] = {}
 
     def _read_intervals(self, launch, slot_index: int) -> tuple:
-        key = (launch.uid, slot_index)
+        key = (self._shape_of[launch.uid], slot_index)
         cached = self._interval_cache.get(key)
         if cached is None:
             cached = tuple(
@@ -164,7 +167,7 @@ class MemoryPlanner:
         one launch in the program walk's encounter order (placement
         outer, slot inner)."""
         if self._shard_cache is not None:
-            key = (launch.uid, decision.key())
+            key = (self._shape_of[launch.uid], decision.key())
             cached = self._shard_cache.get(key)
             if cached is not None:
                 return cached
@@ -183,7 +186,7 @@ class MemoryPlanner:
                     entries.append((slot_index, mem.uid, root, lo, hi))
         shards = tuple(entries)
         if self._shard_cache is not None:
-            self._shard_cache[(launch.uid, decision.key())] = shards
+            self._shard_cache[key] = shards
         return shards
 
     # ------------------------------------------------------------------
@@ -196,7 +199,12 @@ class MemoryPlanner:
         if cached is not None:
             return cached
         buckets: Dict[Tuple[str, str], list] = {}
+        seen = set()
         for launch in self.graph.launches_of_kind(kind_name):
+            shape = self._shape_of[launch.uid]
+            if shape in seen:
+                continue  # identical shards add nothing to the union
+            seen.add(shape)
             for _slot, mem_uid, root, lo, hi in self._shards(launch, decision):
                 buckets.setdefault((mem_uid, root), []).append((lo, hi))
         contrib = {

@@ -50,6 +50,10 @@ __all__ = ["MappingService", "ServiceError", "make_server"]
 
 _LOG = get_logger("service.http")
 
+#: Largest ``POST /jobs`` body the handler reads, in bytes.  A job spec
+#: is a few hundred bytes; anything claiming more is refused unread.
+MAX_BODY_BYTES = 1 << 20
+
 #: URL artifact name -> (cache filename, content type).
 _ARTIFACTS = {
     "report": (RESULT_FILENAME, "application/json"),
@@ -303,6 +307,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -319,16 +325,39 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(404, f"no such endpoint: {self.path}")
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             try:
-                doc = json.loads(self.rfile.read(length) or b"null")
-            except json.JSONDecodeError as exc:
+                doc = json.loads(self._read_body() or b"null")
+            except ValueError as exc:  # bad JSON or a non-UTF-8 body
                 raise ServiceError(400, f"invalid JSON body: {exc}")
             record = self.service.submit(doc)
         except ServiceError as exc:
             self._send_error_json(exc.status, str(exc))
             return
         self._send_json(201, record.to_doc())
+
+    def _read_body(self) -> bytes:
+        """The request body, after checking its ``Content-Length``.
+
+        A length that is not a plain non-negative decimal is a 400, one
+        above :data:`MAX_BODY_BYTES` a 413.  Either way the body stays
+        unread, so the connection closes after the reply.
+        """
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise ServiceError(400, f"invalid Content-Length: {raw[:32]!r}")
+        # Bound the digit count before int(), which refuses very long
+        # digit strings with a ValueError.
+        digits = raw.lstrip("0") or "0"
+        if (
+            len(digits) > len(str(MAX_BODY_BYTES))
+            or int(digits) > MAX_BODY_BYTES
+        ):
+            self.close_connection = True
+            raise ServiceError(
+                413, f"request body exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
+        return self.rfile.read(int(digits))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         try:

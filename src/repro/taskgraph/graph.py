@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.taskgraph.collection import Collection
 from repro.taskgraph.task import TaskKind, TaskLaunch
@@ -94,6 +94,8 @@ class TaskGraph:
                         f"conflicting definitions of collection {arg.name!r}"
                     )
                 self._collections.setdefault(arg.name, arg)
+        #: Interned launch shapes, built on first use (see shape_ids).
+        self._shape_ids: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
     def _check_acyclic(self) -> None:
@@ -172,6 +174,23 @@ class TaskGraph:
     def launches_of_kind(self, kind_name: str) -> List[TaskLaunch]:
         """All launches of the named kind, in program order."""
         return [t for t in self.launches if t.kind.name == kind_name]
+
+    def shape_ids(self) -> Dict[str, int]:
+        """Launch uid -> interned :attr:`TaskLaunch.shape` id.
+
+        Ids are dense ints numbered by first appearance in program
+        order; launches with equal shapes share one id, so caches of
+        per-``(launch, decision)`` work keyed on it hold one entry per
+        distinct launch and hash as cheaply as a uid.  The returned dict
+        is shared: treat it as read-only.
+        """
+        if self._shape_ids is None:
+            interned: Dict[tuple, int] = {}
+            self._shape_ids = {
+                launch.uid: interned.setdefault(launch.shape, len(interned))
+                for launch in self.launches
+            }
+        return self._shape_ids
 
     # ------------------------------------------------------------------
     # Mapping-relevant aggregates

@@ -207,6 +207,27 @@ class TaskLaunch:
         if self.flops < 0:
             raise ValueError(f"launch {self.uid}: flops must be >= 0")
 
+    @property
+    def shape(self) -> Tuple:
+        """Everything per-decision work reads of this launch: the kind
+        name, each argument's root and byte interval, the size and the
+        flops.
+
+        Placements, point durations and shard intervals under any
+        decision are functions of the shape alone (a graph binds one
+        :class:`TaskKind` per kind name), so launches with equal shapes
+        can share every per-``(launch, decision)`` cache entry; the uid
+        and sequence only order and name the launch.
+        :meth:`repro.taskgraph.graph.TaskGraph.shape_ids` interns shapes
+        per graph as small ints.
+        """
+        return (
+            self.kind.name,
+            tuple((arg.root, arg.interval) for arg in self.args),
+            self.size,
+            self.flops,
+        )
+
     def slot_arg(self, slot_name: str) -> Collection:
         """The collection bound to the named slot."""
         return self.args[self.kind.slot_index(slot_name)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.bounds import (
@@ -16,6 +18,8 @@ from repro.machine.kinds import ProcKind
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
 from repro.runtime.simulator import SimConfig, Simulator
+from repro.util.rng import RngStream
+from tests.test_incremental import MACHINES, MIXED, _chain, _graph
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +111,39 @@ class TestBreakdown:
         assert analyzer.lower_bound(mapping) == first
         assert analyzer.checks == checks + 1
         assert analyzer.cache_hits >= 1
+
+
+def _hex_fields(bd: BoundBreakdown) -> tuple:
+    """Every breakdown field, floats by ``hex()``."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(bd)
+    )
+
+
+@pytest.mark.parametrize("app_name", ["circuit", "stencil", "pennant", MIXED])
+@pytest.mark.parametrize("machine_name", sorted(MACHINES))
+def test_prefix_reuse_matches_fresh_analyzer(app_name, machine_name):
+    """A long-lived analyzer replays each walk's unchanged prefix from
+    copy-on-write snapshots; along a mutation chain (CD moves, a jump,
+    revisits) every bound must equal a fresh analyzer's bit for bit."""
+    machine = MACHINES[machine_name](2)
+    graph = _graph(app_name, machine)
+    space = SearchSpace(graph, machine)
+    reused = StaticBoundAnalyzer(graph, machine)
+    rng = RngStream(23).fork(app_name, machine_name)
+    for mapping in _chain(space, rng):
+        fresh = StaticBoundAnalyzer(graph, machine)
+        # Without this a revisit is a breakdown-cache hit; cleared, it
+        # walks from a snapshot taken under other mappings.
+        reused._breakdown_cache.clear()
+        assert _hex_fields(reused.breakdown(mapping)) == _hex_fields(
+            fresh.breakdown(mapping)
+        )
+        assert (
+            reused.quick_bound(mapping).hex()
+            == fresh.quick_bound(mapping).hex()
+        )
 
 
 class TestNodeCounts:

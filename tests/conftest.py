@@ -87,6 +87,45 @@ def build_diamond_graph(iterations: int = 2, nbytes: int = 1 << 24):
     return b.build()
 
 
+def build_mixed_shape_graph(nbytes: int = 1 << 22):
+    """A graph whose same-kind launches differ in shape.
+
+    ``produce`` writes two different collections of the ``field`` root,
+    at two sizes and two flop counts; each of its launches differs from
+    the first in exactly one of those.  ``consume`` reads the whole
+    field back through a halo and accumulates into ``out``.  Every
+    bundled app launches a kind over identical arguments, so this is the
+    input that catches a launch-shape key which shares too much.
+    """
+    b = GraphBuilder("mixed-shapes")
+    low = b.collection("field_lo", nbytes=nbytes // 2, root="field")
+    high = b.collection(
+        "field_hi", nbytes=nbytes // 2, root="field", offset=nbytes // 2
+    )
+    whole = b.collection("field_all", nbytes=nbytes, root="field")
+    out = b.collection("out", nbytes=nbytes // 4)
+    produce = b.task_kind("produce", slots=[ArgSlot("dst", Privilege.WRITE)])
+    consume = b.task_kind(
+        "consume",
+        slots=[
+            ArgSlot(
+                "src",
+                Privilege.READ,
+                ShardPattern.BLOCK_HALO,
+                halo_bytes=nbytes // 64,
+            ),
+            ArgSlot("out", Privilege.READ_WRITE),
+        ],
+    )
+    for _ in range(2):
+        b.launch(produce, [low], size=4, flops=1e8)
+        b.launch(produce, [high], size=4, flops=1e8)
+        b.launch(produce, [low], size=8, flops=1e8)
+        b.launch(produce, [low], size=4, flops=3e8)
+        b.launch(consume, [whole, out], size=8, flops=2e8)
+    return b.build()
+
+
 @pytest.fixture
 def diamond_graph():
     return build_diamond_graph()

@@ -3,15 +3,19 @@ fetch artifacts, and hit the cache on resubmission."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
 from repro.service import MappingService, make_server
+from repro.service.http import MAX_BODY_BYTES
 
 SPEC = {"app": "stencil", "max_suggestions": 40, "checkpoint_every": 1}
 
@@ -53,6 +57,25 @@ def _get(url, raw=False):
             return reply.status, data if raw else json.loads(data)
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _raw_post(url, content_length, body=b""):
+    """POST ``/jobs`` over a raw socket with a verbatim Content-Length
+    header.  The socket timeout turns a hung handler into a failure."""
+    parts = urllib.parse.urlsplit(url)
+    head = (
+        f"POST /jobs HTTP/1.1\r\n"
+        f"Host: {parts.hostname}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode()
+    with socket.create_connection(
+        (parts.hostname, parts.port), timeout=3
+    ) as sock:
+        sock.sendall(head + body)
+        reply = http.client.HTTPResponse(sock)
+        reply.begin()
+        return reply.status, json.loads(reply.read())
 
 
 def _await_done(url, job_id, timeout=120.0):
@@ -163,6 +186,34 @@ class TestErrorPaths:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=30)
         assert info.value.code == 400
+
+    @pytest.mark.parametrize(
+        "length",
+        ["abc", "-1", "1_000", "+5", ""],
+        ids=["letters", "negative", "underscore", "plus", "empty"],
+    )
+    def test_malformed_content_length_is_400(self, service_url, length):
+        status, doc = _raw_post(service_url, length)
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "length",
+        [str(MAX_BODY_BYTES + 1), "99999999999", "9" * 5000],
+        ids=["limit+1", "11-digits", "5000-digits"],
+    )
+    def test_oversized_body_is_413_unread(self, service_url, length):
+        # No body follows: a handler that tried to read it would block
+        # until the socket timeout.
+        status, doc = _raw_post(service_url, length)
+        assert status == 413
+        assert "limit" in doc["error"]
+
+    def test_non_utf8_body_is_400(self, service_url):
+        body = b'{"app": "\xff"}'
+        status, doc = _raw_post(service_url, str(len(body)), body)
+        assert status == 400
+        assert "invalid JSON body" in doc["error"]
 
     def test_unknown_job_is_404(self, service_url):
         status, doc = _get(f"{service_url}/jobs/job-424242")

@@ -24,6 +24,7 @@ from repro.runtime import SimConfig, Simulator
 from repro.runtime.memory import MemoryPlanner, OOMError
 from repro.runtime.noise import NoiseModel
 from repro.util.rng import RngStream
+from tests.conftest import build_mixed_shape_graph
 
 #: Small inputs: the point is coverage of the cache machinery, not load.
 APP_INPUTS = {
@@ -35,6 +36,17 @@ APP_INPUTS = {
 }
 
 MACHINES = {"shepard": shepard, "lassen": lassen}
+
+#: The graph whose same-kind launches differ in shape (see conftest).
+MIXED = "mixed-shapes"
+
+
+def _graph(name: str, machine):
+    """The named app's graph at its small input, or the mixed-shape
+    graph."""
+    if name == MIXED:
+        return build_mixed_shape_graph()
+    return make_app(name, **APP_INPUTS[name]).graph(machine)
 
 
 def _mutate(space: SearchSpace, mapping, rng: RngStream):
@@ -117,14 +129,13 @@ def _run_both(sim_inc, sim_full, mapping, runs=7):
     return True
 
 
-@pytest.mark.parametrize("app_name", sorted(APP_INPUTS))
+@pytest.mark.parametrize("app_name", sorted(APP_INPUTS) + [MIXED])
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 def test_mutation_chain_identity(app_name, machine_name):
     """Random single-coordinate walks produce bit-identical reports,
     noise samples and executed mappings in both modes (spill on)."""
     machine = MACHINES[machine_name](2)
-    app = make_app(app_name, **APP_INPUTS[app_name])
-    graph = app.graph(machine)
+    graph = _graph(app_name, machine)
     space = SearchSpace(graph, machine)
     sim_inc = Simulator(
         graph, machine, SimConfig(seed=3, spill=True, incremental=True)
@@ -145,13 +156,12 @@ def test_mutation_chain_identity(app_name, machine_name):
     assert sim_full.incremental_stats.runs == 0
 
 
-@pytest.mark.parametrize("app_name", ["stencil", "circuit"])
+@pytest.mark.parametrize("app_name", ["stencil", "circuit", MIXED])
 def test_mutation_chain_identity_no_spill(app_name):
     """With spill disabled, OOM mappings raise the identical error in
     both modes and the OOM-attempt counters stay in lockstep."""
     machine = lassen(2)
-    app = make_app(app_name, **APP_INPUTS[app_name])
-    graph = app.graph(machine)
+    graph = _graph(app_name, machine)
     space = SearchSpace(graph, machine)
     sim_inc = Simulator(
         graph, machine, SimConfig(seed=5, spill=False, incremental=True)
@@ -170,22 +180,22 @@ def test_planner_fast_path_matches_exact_walk():
     """The memoised planner's no-overflow fast path and the exact walk
     agree on every spill resolution and every OOM verdict."""
     machine = lassen(2)
-    app = make_app("stencil", **APP_INPUTS["stencil"])
-    graph = app.graph(machine)
-    space = SearchSpace(graph, machine)
-    fast = MemoryPlanner(graph, machine, memoize=True)
-    exact = MemoryPlanner(graph, machine, memoize=False)
-    rng = RngStream(9)
-    for mapping in _chain(space, rng, length=20):
-        try:
-            spilled_fast = fast.apply_spill(mapping)
-        except OOMError as exc:
-            with pytest.raises(OOMError) as caught:
-                exact.apply_spill(mapping)
-            assert str(caught.value) == str(exc)
-            continue
-        spilled_exact = exact.apply_spill(mapping)
-        assert spilled_fast.key() == spilled_exact.key()
+    for app_name in ("stencil", MIXED):
+        graph = _graph(app_name, machine)
+        space = SearchSpace(graph, machine)
+        fast = MemoryPlanner(graph, machine, memoize=True)
+        exact = MemoryPlanner(graph, machine, memoize=False)
+        rng = RngStream(9)
+        for mapping in _chain(space, rng, length=20):
+            try:
+                spilled_fast = fast.apply_spill(mapping)
+            except OOMError as exc:
+                with pytest.raises(OOMError) as caught:
+                    exact.apply_spill(mapping)
+                assert str(caught.value) == str(exc)
+                continue
+            spilled_exact = exact.apply_spill(mapping)
+            assert spilled_fast.key() == spilled_exact.key()
 
 
 def test_noise_cache_returns_identical_factors():
@@ -206,16 +216,16 @@ def test_noise_cache_returns_identical_factors():
         )
 
 
-@pytest.mark.parametrize("app_name", ["circuit", "stencil"])
+@pytest.mark.parametrize("app_name", ["circuit", "stencil", MIXED])
 def test_tune_identity(app_name):
     """Whole ccd tuning runs converge byte-identically in both modes:
     best mapping, mean, stddev, finalists, and execution trace."""
     machine = shepard(2)
-    app = make_app(app_name, **APP_INPUTS[app_name])
     reports = {}
     for incremental in (True, False):
+        graph = _graph(app_name, machine)
         driver = AutoMapDriver(
-            app.graph(machine),
+            graph,
             machine,
             algorithm="ccd",
             oracle_config=OracleConfig(max_suggestions=60),
@@ -225,7 +235,7 @@ def test_tune_identity(app_name):
                 spill=True,
                 incremental=incremental,
             ),
-            space=app.space(machine),
+            space=SearchSpace(graph, machine),
             seed=7,
             trace=True,
         )

@@ -251,3 +251,66 @@ class TestTaskGraph:
     def test_describe(self, diamond_graph):
         text = diamond_graph.describe()
         assert "sink" in text and "launches" in text
+
+
+class TestLaunchShapes:
+    """Shape ids key every per-(launch, decision) cache: identical
+    launches must share one, and any difference in what per-decision
+    work reads must split them."""
+
+    def _pair_ids(self, change: str):
+        """Shape ids of two launches that differ in uid, sequence and
+        the named attribute."""
+        b = GraphBuilder("shapes")
+        field = b.collection("field", nbytes=1 << 12)
+        slots = [("data", Privilege.READ_WRITE)]
+        base = {
+            "kind": b.task_kind("k", slots=slots),
+            "args": [field],
+            "size": 4,
+            "flops": 1e6,
+        }
+        overrides = {
+            "nothing": {},
+            "kind": {"kind": b.task_kind("twin", slots=slots)},
+            "size": {"size": 8},
+            "flops": {"flops": 2e6},
+            # Same interval under another root, and vice versa.
+            "root": {
+                "args": [
+                    b.collection("other", nbytes=1 << 12, root="elsewhere")
+                ]
+            },
+            "interval": {
+                "args": [
+                    b.collection(
+                        "half", nbytes=1 << 11, root="field", offset=1 << 11
+                    )
+                ]
+            },
+        }
+        first = b.launch(**base)
+        second = b.launch(**{**base, **overrides[change]})
+        ids = b.build().shape_ids()
+        return ids[first.uid], ids[second.uid]
+
+    def test_uid_and_sequence_do_not_split(self):
+        first, second = self._pair_ids("nothing")
+        assert first == second
+
+    @pytest.mark.parametrize(
+        "change", ["kind", "size", "flops", "root", "interval"]
+    )
+    def test_any_read_attribute_splits(self, change):
+        first, second = self._pair_ids(change)
+        assert first != second
+
+    def test_ids_are_dense_in_program_order(self):
+        b = GraphBuilder("dense")
+        coll = b.collection("c", nbytes=64)
+        kind = b.task_kind("k", slots=[("c", Privilege.READ_WRITE)])
+        launches = [
+            b.launch(kind, [coll], size=size) for size in (2, 1, 2, 3, 1)
+        ]
+        ids = b.build().shape_ids()
+        assert [ids[launch.uid] for launch in launches] == [0, 1, 0, 2, 1]
