@@ -12,9 +12,13 @@ import os
 from dataclasses import dataclass
 
 from repro.apps.base import App
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
+from repro.core.engine import PreparedTune
 from repro.machine.model import Machine
 from repro.runtime import SimConfig
+
+#: The stateless engine every benchmark tunes through.
+ENGINE = TuningEngine()
 
 #: One fixed seed per harness run keeps every figure reproducible.
 SEED = 2023
@@ -66,7 +70,7 @@ class PanelPoint:
     automap_speedup: float
 
 
-def make_driver(
+def prepare(
     app: App,
     machine: Machine,
     algorithm: str = "ccd",
@@ -74,20 +78,24 @@ def make_driver(
     metric=None,
     spill: bool = True,
     seed: int = SEED,
-) -> AutoMapDriver:
+) -> PreparedTune:
+    """One benchmark tune, prepared on :data:`ENGINE`: measure baselines
+    with ``ENGINE.measure`` and search with ``ENGINE.run``."""
     label = f"{app.name}-{app.input_label()}-{machine.name}-{algorithm}"
-    return AutoMapDriver(
-        app.graph(machine),
-        machine,
-        algorithm=algorithm,
-        oracle_config=OracleConfig(
-            max_suggestions=MAX_SUGGESTIONS[scale],
-            metric=metric,
-        ),
-        sim_config=SimConfig(noise_sigma=0.04, seed=seed, spill=spill),
-        space=app.space(machine),
-        workers=bench_workers(),
-        **bench_checkpoint_kwargs(label),
+    return ENGINE.prepare(
+        TuneRequest(
+            app.graph(machine),
+            machine,
+            algorithm=algorithm,
+            oracle_config=OracleConfig(
+                max_suggestions=MAX_SUGGESTIONS[scale],
+                metric=metric,
+            ),
+            sim_config=SimConfig(noise_sigma=0.04, seed=seed, spill=spill),
+            space=app.space(machine),
+            workers=bench_workers(),
+            **bench_checkpoint_kwargs(label),
+        )
     )
 
 
@@ -97,10 +105,10 @@ def run_panel_point(
     """Measure default / custom / AutoMap for one (app, input, machine)
     point, exactly as Figure 6 plots them (speedups over the default
     mapper)."""
-    driver = make_driver(app, machine, scale=scale)
-    default_mean = driver.measure(driver.space.default_mapping())
-    custom_mean = driver.measure(app.custom_mapping(machine))
-    report = driver.tune()
+    prepared = prepare(app, machine, scale=scale)
+    default_mean = ENGINE.measure(prepared, prepared.space.default_mapping())
+    custom_mean = ENGINE.measure(prepared, app.custom_mapping(machine))
+    report = ENGINE.run(prepared)
     return PanelPoint(
         label=app.input_label(),
         default_mean=default_mean,

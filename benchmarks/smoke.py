@@ -46,7 +46,7 @@ import time
 from pathlib import Path
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 
@@ -101,7 +101,7 @@ def _tune(app_name: str, incremental: bool, bound_prune: bool = True):
     config = SMOKE_CONFIGS[app_name]
     machine = shepard(config["nodes"])
     app = make_app(app_name, **config["inputs"])
-    driver = AutoMapDriver(
+    request = TuneRequest(
         app.graph(machine),
         machine,
         algorithm="ccd",
@@ -119,10 +119,12 @@ def _tune(app_name: str, incremental: bool, bound_prune: bool = True):
         trace=True,
         bound_prune=bound_prune,
     )
+    engine = TuningEngine()
+    prepared = engine.prepare(request)
     started = time.perf_counter()
-    report = driver.tune()
+    report = engine.run(prepared)
     wall = time.perf_counter() - started
-    return report, wall, driver.simulator.incremental_stats
+    return report, wall, prepared.simulator.incremental_stats
 
 
 def _tune_best_of(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from benchmarks.conftest import register_result
 from benchmarks._common import MAX_SUGGESTIONS, SEED
 from repro.apps import PennantApp
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 from repro.search import ConstrainedCoordinateDescent
@@ -33,7 +33,7 @@ def test_ablation_rotations(benchmark, scale):
         machine = shepard(1)
         graph = app.graph(machine)
         for rotations in ROTATIONS[scale]:
-            driver = AutoMapDriver(
+            request = TuneRequest(
                 graph,
                 machine,
                 algorithm=ConstrainedCoordinateDescent(rotations=rotations),
@@ -42,7 +42,7 @@ def test_ablation_rotations(benchmark, scale):
                 ),
                 sim_config=SimConfig(noise_sigma=0.04, seed=SEED, spill=True),
             )
-            report = driver.tune()
+            report = TuningEngine().tune(request)
             results[rotations] = report
             table.add_row(
                 [

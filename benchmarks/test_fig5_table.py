@@ -15,7 +15,7 @@ from __future__ import annotations
 
 
 from benchmarks.conftest import register_result
-from benchmarks._common import make_driver
+from benchmarks._common import ENGINE, prepare
 from repro.apps import CircuitApp, HTRApp, MaestroApp, PennantApp, StencilApp
 from repro.machine import shepard
 from repro.viz import Table
@@ -83,8 +83,7 @@ def test_fig5_inventory_table(benchmark):
 
     # The measured column: one CCD search on the smallest Circuit input.
     def ccd_search():
-        driver = make_driver(CircuitApp(50, 200), shepard(1))
-        return driver.tune()
+        return ENGINE.run(prepare(CircuitApp(50, 200), shepard(1)))
 
     report = benchmark.pedantic(ccd_search, rounds=1, iterations=1)
     assert report.best_mapping is not None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 from benchmarks.conftest import register_result
-from benchmarks._common import fig6_inputs, fig6_node_counts, make_driver
+from benchmarks._common import ENGINE, fig6_inputs, fig6_node_counts, prepare
 from repro.apps import PennantApp
 from repro.machine import shepard
 from repro.machine.kinds import ProcKind
@@ -39,10 +39,14 @@ def test_fig6c_pennant(benchmark, scale):
             machine = shepard(nodes)
             for zy in fig6_inputs(panel_inputs(nodes), scale):
                 app = PennantApp(320, zy)
-                driver = make_driver(app, machine, scale=scale)
-                default_mean = driver.measure(driver.space.default_mapping())
-                custom_mean = driver.measure(app.custom_mapping(machine))
-                report = driver.tune()
+                prepared = prepare(app, machine, scale=scale)
+                default_mean = ENGINE.measure(
+                    prepared, prepared.space.default_mapping()
+                )
+                custom_mean = ENGINE.measure(
+                    prepared, app.custom_mapping(machine)
+                )
+                report = ENGINE.run(prepared)
                 best = report.best_mapping
                 from repro.machine.kinds import MemKind
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 from benchmarks.conftest import register_result
-from benchmarks._common import fig6_inputs, fig6_node_counts, make_driver
+from benchmarks._common import ENGINE, fig6_inputs, fig6_node_counts, prepare
 from repro.apps import HTRApp
 from repro.machine import shepard
 from repro.machine.kinds import MemKind, ProcKind
@@ -44,10 +44,14 @@ def test_fig6d_htr(benchmark, scale):
             machine = shepard(nodes)
             for x, y, z in fig6_inputs(panel_inputs(nodes), scale):
                 app = HTRApp(x, y, z)
-                driver = make_driver(app, machine, scale=scale)
-                default_mean = driver.measure(driver.space.default_mapping())
-                custom_mean = driver.measure(app.custom_mapping(machine))
-                report = driver.tune()
+                prepared = prepare(app, machine, scale=scale)
+                default_mean = ENGINE.measure(
+                    prepared, prepared.space.default_mapping()
+                )
+                custom_mean = ENGINE.measure(
+                    prepared, app.custom_mapping(machine)
+                )
+                report = ENGINE.run(prepared)
                 best = report.best_mapping
                 point = (
                     nodes,

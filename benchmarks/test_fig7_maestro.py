@@ -15,7 +15,7 @@ from __future__ import annotations
 
 
 from benchmarks.conftest import register_result
-from benchmarks._common import make_driver
+from benchmarks._common import ENGINE, prepare
 from repro.apps import MaestroApp
 from repro.machine import lassen
 from repro.runtime import SimConfig, Simulator
@@ -52,21 +52,21 @@ def test_fig7_maestro(benchmark, scale):
                         lf_count=lf_count, lf_res=lf_res, hf_res=HF_RES
                     )
                     base = hf_alone_seconds(app, machine)
-                    driver = make_driver(
+                    prepared = prepare(
                         app, machine, scale=scale,
                         metric=MaestroApp.hf_metric,
                     )
                     cpu = MaestroApp.hf_metric(
-                        driver.simulator.run(
+                        prepared.simulator.run(
                             app.strategy_cpu_system(machine)
                         ).report
                     ) / base
                     gpu = MaestroApp.hf_metric(
-                        driver.simulator.run(
+                        prepared.simulator.run(
                             app.strategy_gpu_zero_copy(machine)
                         ).report
                     ) / base
-                    report = driver.tune()
+                    report = ENGINE.run(prepared)
                     am = report.best_mean / base
                     rows.append((nodes, lf_count, lf_res, cpu, gpu, am))
                     table.add_row([nodes, lf_count, lf_res, cpu, gpu, am])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 
 from benchmarks.conftest import register_result
-from benchmarks._common import make_driver
+from benchmarks._common import ENGINE, prepare
 from repro.apps import PennantApp
 from repro.machine import lassen, shepard
 from repro.machine.kinds import MemKind, ProcKind
@@ -76,12 +76,10 @@ def test_fig8_memory_constrained(benchmark, scale):
             fit_zy = max_fitting_zy(machine)
             for label, mult in OVERSIZES:
                 app = PennantApp(320, int(fit_zy * mult), iterations=1)
-                driver = make_driver(
-                    app, machine, scale=scale, spill=False
-                )
-                zc = all_zero_copy(driver.space)
-                t_zc = driver.measure(zc)
-                report = driver.tune(start=zc)
+                prepared = prepare(app, machine, scale=scale, spill=False)
+                zc = all_zero_copy(prepared.space)
+                t_zc = ENGINE.measure(prepared, zc)
+                report = ENGINE.run(prepared, start=zc)
                 best = report.best_mapping
                 demoted = best.count_mem(MemKind.ZERO_COPY) + best.count_mem(
                     MemKind.SYSTEM

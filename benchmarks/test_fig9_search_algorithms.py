@@ -12,7 +12,7 @@ from __future__ import annotations
 
 
 from benchmarks.conftest import register_result
-from benchmarks._common import make_driver
+from benchmarks._common import ENGINE, prepare
 from repro.apps import HTRApp, PennantApp
 from repro.machine import shepard
 from repro.viz import Table
@@ -56,9 +56,9 @@ def test_fig9_search_algorithms(benchmark, scale):
         for problem, factory in PROBLEMS[scale]:
             machine = shepard(1)
             for algo in ALGORITHMS:
-                driver = make_driver(factory(), machine, algorithm=algo,
-                                     scale=scale)
-                report = driver.tune()
+                report = ENGINE.run(
+                    prepare(factory(), machine, algorithm=algo, scale=scale)
+                )
                 results[(problem, algo)] = report
                 table.add_row(
                     [

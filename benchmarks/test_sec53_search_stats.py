@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 from benchmarks.conftest import register_result
-from benchmarks._common import make_driver
+from benchmarks._common import ENGINE, prepare
 from repro.apps import PennantApp
 from repro.machine import shepard
 from repro.viz import Table
@@ -41,10 +41,11 @@ def test_sec53_search_stats(benchmark, scale):
     def sweep():
         machine = shepard(1)
         for algo in ("ccd", "cd", "opentuner"):
-            driver = make_driver(
-                PennantApp(320, 90), machine, algorithm=algo, scale=scale
+            report = ENGINE.run(
+                prepare(
+                    PennantApp(320, 90), machine, algorithm=algo, scale=scale
+                )
             )
-            report = driver.tune()
             stats[algo] = report
             paper = PAPER[algo]
             table.add_row(

@@ -14,7 +14,7 @@ Usage::
     python examples/custom_application.py
 """
 
-from repro.core import AutoMapSession, OracleConfig
+from repro.core import AutoMapSession, OracleConfig, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 from repro.taskgraph import ArgSlot, GraphBuilder, Privilege, ShardPattern
@@ -80,7 +80,9 @@ def main() -> None:
         oracle_config=OracleConfig(max_suggestions=8000),
         sim_config=SimConfig(noise_sigma=0.04, seed=0, spill=True),
     )
-    t_default = session.measure(session.default_mapping())
+    t_default = TuningEngine().measure(
+        session.prepared, session.prepared.space.default_mapping()
+    )
     report = session.tune()
 
     print(report.describe())

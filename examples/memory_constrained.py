@@ -15,7 +15,7 @@ Usage::
 import argparse
 
 from repro.apps import PennantApp
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.machine.kinds import MemKind
 from repro.runtime import SimConfig
@@ -66,20 +66,23 @@ def main() -> None:
     app = PennantApp(320, zy, iterations=1)
     graph = app.graph(machine)
     space = app.space(machine)
-    driver = AutoMapDriver(
-        graph,
-        machine,
-        algorithm="ccd",
-        oracle_config=OracleConfig(max_suggestions=8000),
-        sim_config=SimConfig(noise_sigma=0.04, seed=0, spill=False),
-        space=space,
+    engine = TuningEngine()
+    prepared = engine.prepare(
+        TuneRequest(
+            graph,
+            machine,
+            algorithm="ccd",
+            oracle_config=OracleConfig(max_suggestions=8000),
+            sim_config=SimConfig(noise_sigma=0.04, seed=0, spill=False),
+            space=space,
+        )
     )
 
     zc = all_zero_copy(space)
-    t_zc = driver.measure(zc)
+    t_zc = engine.measure(prepared, zc)
     print(f"GPU + all-Zero-Copy: {t_zc:.3f} s")
 
-    report = driver.tune(start=zc)
+    report = engine.run(prepared, start=zc)
     best = report.best_mapping
     print(f"AutoMap:             {report.best_mean:.3f} s "
           f"({t_zc / report.best_mean:.1f}x faster)")

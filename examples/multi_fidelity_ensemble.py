@@ -16,7 +16,7 @@ Usage::
 import argparse
 
 from repro.apps import MaestroApp
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import lassen
 from repro.runtime import SimConfig, Simulator
 from repro.viz import Table
@@ -52,15 +52,18 @@ def main() -> None:
     )
 
     graph = app.graph(machine)
-    driver = AutoMapDriver(
-        graph,
-        machine,
-        algorithm="ccd",
-        oracle_config=OracleConfig(
-            metric=MaestroApp.hf_metric, max_suggestions=8000
-        ),
-        sim_config=sim_config,
-        space=app.space(machine),
+    engine = TuningEngine()
+    prepared = engine.prepare(
+        TuneRequest(
+            graph,
+            machine,
+            algorithm="ccd",
+            oracle_config=OracleConfig(
+                metric=MaestroApp.hf_metric, max_suggestions=8000
+            ),
+            sim_config=sim_config,
+            space=app.space(machine),
+        )
     )
 
     table = Table(["strategy", "HF slowdown"])
@@ -68,7 +71,7 @@ def main() -> None:
         [
             "LF on CPU + System",
             hf_slowdown(
-                driver.simulator, app.strategy_cpu_system(machine), hf_alone
+                prepared.simulator, app.strategy_cpu_system(machine), hf_alone
             ),
         ]
     )
@@ -76,13 +79,13 @@ def main() -> None:
         [
             "LF on GPU + Zero-Copy",
             hf_slowdown(
-                driver.simulator,
+                prepared.simulator,
                 app.strategy_gpu_zero_copy(machine),
                 hf_alone,
             ),
         ]
     )
-    report = driver.tune()
+    report = engine.run(prepared)
     table.add_row(["AutoMap", report.best_mean / hf_alone])
     print()
     print(

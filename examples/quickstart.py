@@ -16,7 +16,7 @@ Takes a few seconds.  Usage::
 """
 
 from repro.apps import StencilApp
-from repro.core import AutoMapSession, OracleConfig
+from repro.core import AutoMapSession, OracleConfig, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 from repro.viz import render_mapping_diff
@@ -42,10 +42,13 @@ def main() -> None:
         sim_config=SimConfig(noise_sigma=0.04, seed=0, spill=True),
     )
 
-    default = session.default_mapping()
-    t_default = session.measure(default)
+    # Baselines are measured on the session's own simulator, with the
+    # same protocol as the tuner's final step.
+    engine = TuningEngine()
+    default = session.prepared.space.default_mapping()
+    t_default = engine.measure(session.prepared, default)
     custom = app.custom_mapping(machine)
-    t_custom = session.measure(custom)
+    t_custom = engine.measure(session.prepared, custom)
 
     report = session.tune()
 

@@ -14,7 +14,7 @@ Usage::
 import argparse
 
 from repro.apps import PennantApp
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 from repro.viz import Table
@@ -37,14 +37,14 @@ def main() -> None:
     )
     traces = {}
     for algo in ("ccd", "cd", "opentuner"):
-        driver = AutoMapDriver(
+        request = TuneRequest(
             graph,
             machine,
             algorithm=algo,
             oracle_config=OracleConfig(max_suggestions=20_000),
             sim_config=SimConfig(noise_sigma=0.04, seed=0, spill=True),
         )
-        report = driver.tune()
+        report = TuningEngine().tune(request)
         traces[algo] = report.search.trace
         stats.add_row(
             [

@@ -14,7 +14,7 @@ import argparse
 import re
 
 from repro.apps import HTRApp
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 from repro.viz import render_mapping, render_mapping_diff
@@ -37,16 +37,19 @@ def main() -> None:
     app = HTRApp(x, y, z)
     graph = app.graph(machine)
 
-    driver = AutoMapDriver(
-        graph,
-        machine,
-        algorithm="ccd",
-        oracle_config=OracleConfig(max_suggestions=8000),
-        sim_config=SimConfig(noise_sigma=0.04, seed=0, spill=True),
+    engine = TuningEngine()
+    prepared = engine.prepare(
+        TuneRequest(
+            graph,
+            machine,
+            algorithm="ccd",
+            oracle_config=OracleConfig(max_suggestions=8000),
+            sim_config=SimConfig(noise_sigma=0.04, seed=0, spill=True),
+        )
     )
-    default = driver.space.default_mapping()
-    t_default = driver.measure(default)
-    report = driver.tune()
+    default = prepared.space.default_mapping()
+    t_default = engine.measure(prepared, default)
+    report = engine.run(prepared)
 
     print(
         render_mapping(

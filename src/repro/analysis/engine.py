@@ -6,7 +6,7 @@ given) the validity checker and whole-mapping feasibility proof into
 one :class:`~repro.analysis.diagnostics.DiagnosticReport`.  This is
 what the CLI subcommand and the CI lint gate call; the search pipeline
 instead wires the individual passes into the oracle and the search
-space (see :class:`repro.core.driver.AutoMapDriver`).
+space (see :class:`repro.core.engine.PreparedTune`).
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ import sys
 from typing import Optional
 
 from repro.apps import APP_REGISTRY, make_app
-from repro.core import AutoMapSession, OracleConfig
+from repro.core import AutoMapSession, OracleConfig, TuningEngine
+from repro.core.engine import ALGORITHMS
 from repro.machine import MACHINE_ZOO
 from repro.runtime import SimConfig
 from repro.util.logging import configure as configure_logging
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument(
         "--algorithm",
         default="ccd",
-        choices=["ccd", "cd", "opentuner", "random"],
+        choices=ALGORITHMS,
     )
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument(
@@ -480,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--algorithm",
         default="ccd",
-        choices=["ccd", "cd", "opentuner", "random"],
+        choices=ALGORITHMS,
     )
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--max-suggestions", type=int, default=20_000)
@@ -604,8 +605,8 @@ def _cmd_tune(args) -> int:
         trace=args.trace,
         metrics_out=args.metrics_out,
     )
-    default = session.default_mapping()
-    t_default = session.measure(default)
+    default = session.prepared.space.default_mapping()
+    t_default = TuningEngine().measure(session.prepared, default)
     report = session.tune()
     print(report.describe())
     print()

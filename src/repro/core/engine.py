@@ -5,17 +5,14 @@ single :class:`TuningEngine` instance serves any number of concurrent
 tuning requests, each described by an immutable :class:`TuneRequest`
 and materialised into a private :class:`PreparedTune` working set.  The
 split exists for mapping-as-a-service (:mod:`repro.service`): a service
-process keeps one engine and streams jobs through it, while the classic
-:class:`repro.core.driver.AutoMapDriver` remains as a thin stateful
-wrapper for one (application, machine) pair.
+process keeps one engine and streams jobs through it.
 
-The run itself is unchanged from the original driver: build the search
-space, instantiate the evaluation oracle with the configured measurement
-protocol and budget, invoke the pluggable search algorithm, and finish
-with the final re-evaluation protocol of §5: "as a final step of the
-search, the applications were executed with each of the top 5 mappings
-30 times; we report results for the mapping with the fastest average
-runtime."
+A run builds the search space, instantiates the evaluation oracle with
+the configured measurement protocol and budget, invokes the pluggable
+search algorithm, and finishes with the final re-evaluation protocol of
+§5: "as a final step of the search, the applications were executed with
+each of the top 5 mappings 30 times; we report results for the mapping
+with the fastest average runtime."
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from repro.core.oracle import OracleConfig, SimulationOracle
 from repro.core.profiles import ProfileDatabase
 from repro.obs.telemetry import SearchTelemetry
 from repro.obs.trace import TraceRecorder
-from repro.parallel.batch import BatchOracle
 from repro.machine.model import Machine
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
@@ -46,6 +42,7 @@ from repro.util.logging import get_logger, kv
 from repro.util.rng import RngStream
 
 __all__ = [
+    "ALGORITHMS",
     "FINAL_CANDIDATES",
     "FINAL_RUNS",
     "TuningReport",
@@ -61,21 +58,25 @@ _LOG = get_logger("core.engine")
 FINAL_CANDIDATES = 5
 FINAL_RUNS = 31
 
+_FACTORIES = {
+    "ccd": ConstrainedCoordinateDescent,
+    "cd": CoordinateDescent,
+    "opentuner": EnsembleTuner,
+    "random": RandomSearch,
+}
+
+#: The short names :func:`make_algorithm` accepts, sorted.
+ALGORITHMS: Tuple[str, ...] = tuple(sorted(_FACTORIES))
+
 
 def make_algorithm(name: str) -> SearchAlgorithm:
     """Construct a search algorithm by its short name."""
-    factories = {
-        "ccd": ConstrainedCoordinateDescent,
-        "cd": CoordinateDescent,
-        "opentuner": EnsembleTuner,
-        "random": RandomSearch,
-    }
     try:
-        return factories[name]()
+        return _FACTORIES[name]()
     except KeyError:
         raise ValueError(
             f"unknown search algorithm {name!r}; "
-            f"choose from {sorted(factories)}"
+            f"choose from {list(ALGORITHMS)}"
         ) from None
 
 
@@ -223,8 +224,6 @@ class TuneRequest:
     oracle_config: Optional[OracleConfig] = None
     sim_config: Optional[SimConfig] = None
     seed: int = 0
-    final_candidates: int = FINAL_CANDIDATES
-    final_runs: int = FINAL_RUNS
     #: A caller-provided space may restrict the searched kinds (fixed
     #: decisions, §3.3) — e.g. Maestro tunes only the LF ensemble.
     space: Optional[SearchSpace] = None
@@ -241,8 +240,6 @@ class TuneRequest:
     ] = None
     telemetry: Optional[SearchTelemetry] = None
     trace: bool = False
-    #: Optional explicit starting mapping (otherwise bound-guided).
-    start: Optional[Mapping] = None
 
     def with_(self, **changes) -> "TuneRequest":
         return replace(self, **changes)
@@ -382,7 +379,9 @@ class TuningEngine:
         prepared: PreparedTune,
         start: Optional[Mapping] = None,
     ) -> TuningReport:
-        """Run the search + final re-evaluation over a prepared request.
+        """Run the search + final re-evaluation over a prepared request,
+        from ``start`` when given (otherwise from the bound-guided seed
+        or the algorithm's default).
 
         When a checkpoint path is configured, the search state is
         snapshotted atomically every ``checkpoint_every`` evaluations
@@ -393,27 +392,22 @@ class TuningEngine:
         request = prepared.request
         algorithm = prepared.algorithm
         telemetry = request.telemetry
-        if start is None:
-            start = request.start
 
         profiles = ProfileDatabase()
-        serial_oracle = SimulationOracle(
+        oracle = SimulationOracle(
             prepared.simulator,
             prepared.oracle_config,
             profiles,
             canonicalizer=prepared.canonicalizer,
             feasibility=prepared.feasibility,
             bounds=prepared.bounds,
-        )
-        oracle = BatchOracle(
-            serial_oracle,
             workers=request.workers,
-            timeout=request.worker_timeout,
+            worker_timeout=request.worker_timeout,
         )
         rng = RngStream(request.seed).fork("search", algorithm.name)
 
         if request.resume_checkpoint is not None:
-            serial_oracle.install_replay(
+            oracle.install_replay(
                 request.resume_checkpoint.replay_ledger()
             )
             _LOG.info(
@@ -429,7 +423,7 @@ class TuningEngine:
         if prepared.checkpoint_path is not None:
             manager = CheckpointManager(
                 prepared.checkpoint_path,
-                serial_oracle,
+                oracle,
                 application=request.graph.name,
                 machine_name=request.machine.name,
                 algorithm_name=algorithm.name,
@@ -438,8 +432,8 @@ class TuningEngine:
                 rng=rng,
                 algorithm=algorithm,
             )
-            serial_oracle.observers.append(manager.on_evaluation)
-        serial_oracle.observers.extend(request.observers or ())
+            oracle.observers.append(manager.on_evaluation)
+        oracle.observers.extend(request.observers or ())
 
         _LOG.info(
             kv(
@@ -470,13 +464,13 @@ class TuningEngine:
             # could plausibly rank among the finalists is simulated now
             # so the finalist selection below sees exactly the records
             # an unpruned run would have ranked.
-            serial_oracle.settle_pruned(request.final_candidates)
+            oracle.settle_pruned(FINAL_CANDIDATES)
 
             # Final step (§5): re-measure the top candidates with more
             # runs and report the fastest average.
             finalists: List[Tuple[Mapping, float, float, int]] = []
-            for record in profiles.best(request.final_candidates):
-                extra = max(0, request.final_runs - record.count)
+            for record in profiles.best(FINAL_CANDIDATES):
+                extra = max(0, FINAL_RUNS - record.count)
                 if extra:
                     oracle.measure_more(record.mapping, extra)
                 finalists.append(
@@ -532,7 +526,7 @@ class TuningEngine:
         breakdown: Optional[dict] = None
         if request.trace and best_mapping is not None:
             trace_recorder, _ = prepared.simulator.trace(
-                serial_oracle.canonical(best_mapping),
+                oracle.canonical(best_mapping),
                 label=(
                     f"{request.graph.name} on {request.machine.name} "
                     f"({algorithm.name} best)"
@@ -545,12 +539,10 @@ class TuningEngine:
         # of the best mapping alone, and the orbit fold runs before the
         # replay ledger is consulted, so a resumed run re-derives the
         # same fold count.
-        metrics = serial_oracle.metrics.as_dict()
+        metrics = oracle.metrics.as_dict()
         gauges = metrics.setdefault("gauges", {})
         gauges["analysis.bound_gap_ratio"] = bound_gap
-        gauges["analysis.symmetry_folds"] = float(
-            serial_oracle.symmetry_folds
-        )
+        gauges["analysis.symmetry_folds"] = float(oracle.symmetry_folds)
 
         report = TuningReport(
             application=request.graph.name,
@@ -572,13 +564,13 @@ class TuningEngine:
             bound_pruned=oracle.bound_pruned,
             bound_settled=oracle.bound_settled,
             bound_gap_ratio=bound_gap,
-            symmetry_folds=serial_oracle.symmetry_folds,
+            symmetry_folds=oracle.symmetry_folds,
             simulations=(
                 prepared.simulator.executions
                 + prepared.simulator.oom_attempts
             ),
             resumed=request.resume_checkpoint is not None,
-            replayed=serial_oracle.replayed,
+            replayed=oracle.replayed,
             checkpoints_written=0 if manager is None else manager.saves,
             recovery=oracle.stats,
             metrics=metrics,

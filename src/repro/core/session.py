@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.driver import AutoMapDriver, TuningReport
+from repro.core.engine import TuneRequest, TuningEngine, TuningReport
 from repro.core.oracle import OracleConfig
 from repro.core.profiles import ProfileDatabase
 from repro.core.spacefile import generate_space_file
@@ -110,23 +110,28 @@ class AutoMapSession:
                 )
             resume_checkpoint = load_checkpoint(checkpoint_path)
 
-        self.driver = AutoMapDriver(
-            graph,
-            machine,
-            algorithm=algorithm,
-            oracle_config=oracle_config,
-            sim_config=sim_config,
-            seed=seed,
-            space=space,
-            workers=workers,
-            static_prune=static_prune,
-            bound_prune=bound_prune,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            resume_checkpoint=resume_checkpoint,
-            worker_timeout=worker_timeout,
-            telemetry=self.telemetry,
-            trace=trace,
+        #: The prepared working set (pruned space, simulator, static
+        #: analyzers); measure baselines on ``prepared.simulator`` with
+        #: :meth:`TuningEngine.measure`.
+        self.prepared = TuningEngine().prepare(
+            TuneRequest(
+                graph,
+                machine,
+                algorithm=algorithm,
+                oracle_config=oracle_config,
+                sim_config=sim_config,
+                seed=seed,
+                space=space,
+                workers=workers,
+                static_prune=static_prune,
+                bound_prune=bound_prune,
+                checkpoint_path=checkpoint_path,
+                checkpoint_every=checkpoint_every,
+                resume_checkpoint=resume_checkpoint,
+                worker_timeout=worker_timeout,
+                telemetry=self.telemetry,
+                trace=trace,
+            )
         )
 
     # ------------------------------------------------------------------
@@ -138,9 +143,9 @@ class AutoMapSession:
                 self.graph,
                 self.machine,
                 self.workdir / "search_space.json",
-                sim_config=self.driver.sim_config,
+                sim_config=self.prepared.sim_config,
             )
-        report = self.driver.tune(start=start)
+        report = TuningEngine().run(self.prepared, start=start)
         if self.workdir is not None:
             self._save_artifacts(report)
         if self.metrics_out is not None and report.metrics is not None:
@@ -166,7 +171,7 @@ class AutoMapSession:
         profiles = ProfileDatabase()
         for mapping, mean, stddev, count in report.finalists:
             # Persist the finalists' summary (full sample sets live in the
-            # driver's database during the run).
+            # oracle's database during the run).
             profiles.record(mapping, [mean] * min(count, 1))
         profiles.save(self.workdir / "finalists.json")
         if report.trace is not None:
@@ -175,13 +180,3 @@ class AutoMapSession:
             report.describe() + "\n", self.workdir / "report.txt"
         )
         _LOG.info("artifacts written to %s", self.workdir)
-
-    # ------------------------------------------------------------------
-    def measure(self, mapping: Mapping, runs: int = 31) -> float:
-        """Measure an arbitrary mapping (e.g. a hand-written baseline)
-        with the same protocol as the tuner's final step."""
-        return self.driver.measure(mapping, runs=runs)
-
-    def default_mapping(self) -> Mapping:
-        """The runtime's default starting mapping for this pair."""
-        return self.driver.space.default_mapping()

@@ -43,7 +43,7 @@ from repro.analysis.bounds import StaticBoundAnalyzer
 from repro.analysis.canonical import Canonicalizer
 from repro.analysis.engine import analyze
 from repro.analysis.symmetry import MachineSymmetry
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine, TuningReport
 from repro.fuzz.case import (
     FuzzCase,
     GEN_CHOICES,
@@ -221,13 +221,19 @@ def _check_static(case: FuzzCase, graph, machine) -> List[Violation]:
     return violations
 
 
-def _driver(
-    case: FuzzCase, incremental: bool = True, **kwargs
-) -> AutoMapDriver:
-    """A fresh driver for the case (graph and space rebuilt each time,
-    mirroring a real restart-after-crash)."""
-    app, graph, machine = build_case(case)
-    return AutoMapDriver(
+def _tune(
+    case: FuzzCase, workload=None, incremental: bool = True, **kwargs
+) -> TuningReport:
+    """A fresh tune of the case, with graph and space rebuilt each time
+    (mirroring a real restart-after-crash) — or of an explicit
+    ``(graph, machine, space)`` workload, since the equivalence
+    invariant perturbs the machine and ``build_case`` cannot rebuild
+    it.  ``kwargs`` are further :class:`TuneRequest` fields."""
+    if workload is None:
+        app, graph, machine = build_case(case)
+        workload = (graph, machine, app.space(machine))
+    graph, machine, space = workload
+    request = TuneRequest(
         graph,
         machine,
         algorithm=case.algorithm,
@@ -238,10 +244,11 @@ def _driver(
             spill=True,
             incremental=incremental,
         ),
-        space=app.space(machine),
+        space=space,
         seed=case.seed,
         **kwargs,
     )
+    return TuningEngine().tune(request)
 
 
 def _report_diffs(baseline, resumed) -> List[str]:
@@ -282,17 +289,16 @@ def _check_resume(case: FuzzCase, workdir: Path) -> List[Violation]:
     """Invariant 4: kill/resume reproduces the uninterrupted run."""
     from repro.resilience import load_checkpoint
 
-    baseline = _driver(case).tune()
+    baseline = _tune(case)
 
     path = workdir / "checkpoint.json"
-    crashing = _driver(
-        case,
-        checkpoint_path=path,
-        checkpoint_every=2,
-        observers=[_KillAfter(case.kill_after)],
-    )
     try:
-        crashing.tune()
+        _tune(
+            case,
+            checkpoint_path=path,
+            checkpoint_every=2,
+            observers=(_KillAfter(case.kill_after),),
+        )
         # The search finished before kill_after evaluations; the
         # checkpoint then records the whole run and resume must replay
         # it idempotently — still a valid instance of the invariant.
@@ -307,12 +313,12 @@ def _check_resume(case: FuzzCase, workdir: Path) -> List[Violation]:
             )
         ]
 
-    resumed = _driver(
+    resumed = _tune(
         case,
         checkpoint_path=path,
         checkpoint_every=2,
         resume_checkpoint=load_checkpoint(path),
-    ).tune()
+    )
     return [
         Violation("resume", diff) for diff in _report_diffs(baseline, resumed)
     ]
@@ -321,39 +327,19 @@ def _check_resume(case: FuzzCase, workdir: Path) -> List[Violation]:
 def _check_parallel(case: FuzzCase) -> List[Violation]:
     """Invariant 5: the execution knobs the service cache ignores
     (``workers``, ``incremental``) really are result-invariant."""
-    baseline = _driver(case).tune()
+    baseline = _tune(case)
     violations: List[Violation] = []
-    parallel = _driver(case, workers=2).tune()
+    parallel = _tune(case, workers=2)
     violations.extend(
         Violation("parallel", f"workers=2: {diff}")
         for diff in _report_diffs(baseline, parallel)
     )
-    full = _driver(case, incremental=False).tune()
+    full = _tune(case, incremental=False)
     violations.extend(
         Violation("parallel", f"incremental=False: {diff}")
         for diff in _report_diffs(baseline, full)
     )
     return violations
-
-
-def _tune_on(case: FuzzCase, graph, machine, space):
-    """A fresh tune of an explicit (graph, machine, space) workload —
-    the equivalence invariant perturbs the machine, so ``build_case``
-    cannot rebuild it."""
-    return AutoMapDriver(
-        graph,
-        machine,
-        algorithm=case.algorithm,
-        oracle_config=OracleConfig(max_suggestions=case.max_suggestions),
-        sim_config=SimConfig(
-            noise_sigma=case.noise_sigma,
-            seed=case.seed,
-            spill=True,
-            incremental=True,
-        ),
-        space=space,
-        seed=case.seed,
-    ).tune()
 
 
 def _check_equivalence(case: FuzzCase) -> List[Violation]:
@@ -449,8 +435,8 @@ def _check_equivalence(case: FuzzCase) -> List[Violation]:
                 )
             continue
         if baseline is None:
-            baseline = _tune_on(base, graph, machine, space)
-        perturbed = _tune_on(base, p_graph, p_machine, p_space)
+            baseline = _tune(base, (graph, machine, space))
+        perturbed = _tune(base, (p_graph, p_machine, p_space))
         violations.extend(
             Violation(
                 "equivalence", f"{label}: proved equivalent but {diff}"

@@ -43,14 +43,21 @@ def mapping_to_doc(mapping: Mapping) -> Dict[str, dict]:
 
 
 def mapping_from_doc(doc: Dict[str, dict]) -> Mapping:
-    """Decode a ``kinds`` document produced by :func:`mapping_to_doc`."""
+    """Decode a ``kinds`` document produced by :func:`mapping_to_doc`.
+
+    Raises ``ValueError`` for an entry that is not such an object."""
     decisions: Dict[str, MappingDecision] = {}
     for name, entry in doc.items():
-        decisions[name] = MappingDecision(
-            distribute=bool(entry["distribute"]),
-            proc_kind=ProcKind(entry["proc_kind"]),
-            mem_kinds=tuple(MemKind(m) for m in entry["mem_kinds"]),
-        )
+        try:
+            decisions[name] = MappingDecision(
+                distribute=bool(entry["distribute"]),
+                proc_kind=ProcKind(entry["proc_kind"]),
+                mem_kinds=tuple(MemKind(m) for m in entry["mem_kinds"]),
+            )
+        except (TypeError, KeyError) as exc:
+            raise ValueError(
+                f"malformed mapping entry for {name!r}: {exc!r}"
+            ) from None
     return Mapping(decisions)
 
 

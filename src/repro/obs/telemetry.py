@@ -11,7 +11,7 @@ it bought (best-so-far).
 Records stream to a machine-readable ``telemetry.jsonl`` artifact (one
 JSON object per line, written incrementally so a killed run keeps every
 completed round) and are surfaced in the
-:class:`~repro.core.driver.TuningReport`.  Telemetry is observational:
+:class:`~repro.core.engine.TuningReport`.  Telemetry is observational:
 it reads counters the search already maintains and never feeds back into
 any decision, so enabling it cannot change results.  Wall-clock seconds
 appear *only* here — never in simulator traces, which must stay

@@ -1,25 +1,22 @@
-"""Process-pool batch evaluation of candidate mappings.
+"""Process-pool evaluation of candidate mappings.
 
 The search loop treats the runtime as a black-box oracle and spends
 nearly all of its wall-clock time evaluating candidates; independent
-candidates have no data dependencies, so they can be measured
+candidates have no data dependencies, so they can be simulated
 concurrently.  This package provides:
 
-- :class:`~repro.parallel.batch.BatchOracle` — a wrapper around
-  :class:`~repro.core.oracle.SimulationOracle` that deduplicates a batch,
-  consults the profiles/simulator caches, executes the misses on a
-  :class:`concurrent.futures.ProcessPoolExecutor`, and then replays the
-  batch through the serial accounting so results and search statistics
-  are bit-identical to the serial path;
+- :class:`~repro.parallel.pool.SupervisedPool` — worker processes that
+  simulate a batch of mappings under supervision (timeouts, retries,
+  pool rebuilds, serial degradation).  The evaluation oracle
+  (:class:`repro.core.oracle.SimulationOracle`, ``workers > 1``) uses it
+  to warm its simulator cache before running the batch through its
+  ordinary accounting, so results and search statistics are
+  bit-identical to the serial path;
 - :class:`~repro.parallel.spec.SimulatorSpec` — the picklable spec worker
   processes use to rebuild the simulator.
-
-Search algorithms discover the batch API by duck typing (``batch_size``,
-``prefetch``, ``evaluate_many``, ``peek``), so every oracle — including
-test doubles — keeps working unchanged.
 """
 
-from repro.parallel.batch import BatchOracle
+from repro.parallel.pool import SupervisedPool
 from repro.parallel.spec import SimulatorSpec, WorkerResult
 
-__all__ = ["BatchOracle", "SimulatorSpec", "WorkerResult"]
+__all__ = ["SupervisedPool", "SimulatorSpec", "WorkerResult"]

@@ -10,7 +10,7 @@ pieces that make a tuning run restartable and crash-safe:
   ledger that lets ``repro tune --resume`` continue a killed run to a
   bit-identical result;
 * :mod:`repro.resilience.supervisor` — recovery statistics for the
-  process-pool supervision in :class:`repro.parallel.batch.BatchOracle`
+  process-pool supervision in :class:`repro.parallel.pool.SupervisedPool`
   (per-candidate timeouts, bounded retries, pool rebuilds, graceful
   degradation to serial evaluation);
 * :mod:`repro.resilience.faults` — a deterministic, env-keyed fault

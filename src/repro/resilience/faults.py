@@ -3,7 +3,7 @@
 Real clusters kill tuning workers in two characteristic ways: a hard
 crash (OOM killer, node failure, preemption) and a silent hang (network
 partition, wedged device).  To exercise the supervision machinery in
-:class:`repro.parallel.batch.BatchOracle` reproducibly, this module
+:class:`repro.parallel.pool.SupervisedPool` reproducibly, this module
 injects both failure modes *inside* the worker entry point, keyed by
 environment variables so the configuration crosses the process boundary
 for free:
@@ -25,7 +25,7 @@ Setting both probabilities to 1.0 makes every attempt fail, which is
 how tests force retry exhaustion and the serial fallback.
 
 Faults are only ever injected in worker processes, whose results feed
-the driver's deterministic-result cache; the driver-side serial replay
+the oracle's deterministic-result cache; the oracle's serial evaluation
 recomputes anything a dead worker failed to deliver.  Injection can
 therefore change *how* a result was obtained, never *what* it is.
 """

@@ -1,11 +1,12 @@
 """Recovery accounting for supervised worker pools.
 
-:class:`repro.parallel.batch.BatchOracle` supervises its process pool:
-per-candidate timeouts, bounded retries with exponential backoff, pool
-rebuilds after :class:`~concurrent.futures.process.BrokenProcessPool`,
-and — when workers keep dying — graceful degradation to serial
-evaluation.  All of those events are counted here so the driver can
-surface them in the :class:`~repro.core.driver.TuningReport`.
+:class:`repro.parallel.pool.SupervisedPool` supervises its worker
+processes: per-candidate timeouts, bounded retries with exponential
+backoff, pool rebuilds after
+:class:`~concurrent.futures.process.BrokenProcessPool`, and — when
+workers keep dying — graceful degradation to serial evaluation.  All of
+those events are counted here so the engine can surface them in the
+:class:`~repro.core.engine.TuningReport`.
 
 The counts live in a :class:`repro.obs.metrics.MetricsRegistry` (under
 ``supervisor.*`` names) so they serialize alongside the oracle's
@@ -13,9 +14,9 @@ evaluation accounting; the attribute API (``stats.timeouts += 1``) is
 preserved via properties, so callers never see the registry.
 
 Because the pool only ever *warms the deterministic-result cache*
-(prefetch-then-replay, see :mod:`repro.parallel.batch`), every recovery
+(prefetch-then-evaluate, see :mod:`repro.core.oracle`), every recovery
 action is result-preserving by construction: a candidate whose worker
-died is simply recomputed by the driver-side serial replay.  Supervision
+died is simply recomputed by the oracle's serial evaluation.  Supervision
 decides how much wall-clock the failures cost, never what the search
 observes.
 """
@@ -91,7 +92,7 @@ class SupervisorStats:
     abandoned = _counter_property(
         "abandoned",
         "Candidates given up on after retry exhaustion (recomputed by "
-        "the driver-side serial replay; the result is unaffected).",
+        "the oracle's serial evaluation; the result is unaffected).",
     )
 
     @property

@@ -22,10 +22,12 @@ Two groups of knobs are distinguished on purpose:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.apps import APP_REGISTRY, make_app
+from repro.core.engine import ALGORITHMS
 from repro.machine.builders import MACHINE_ZOO
 
 __all__ = [
@@ -62,8 +64,6 @@ EXECUTION_FIELDS: Tuple[str, ...] = (
     "incremental",
     "checkpoint_every",
 )
-
-_ALGORITHMS = ("ccd", "cd", "opentuner", "random")
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,10 @@ class JobSpec:
                 f"unknown machine {self.machine!r}; "
                 f"choose from {sorted(MACHINE_ZOO)}"
             )
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown search algorithm {self.algorithm!r}; "
-                f"choose from {sorted(_ALGORITHMS)}"
+                f"choose from {list(ALGORITHMS)}"
             )
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
@@ -125,6 +125,8 @@ class JobSpec:
             raise ValueError("workers must be >= 1")
         if self.max_suggestions < 1:
             raise ValueError("max_suggestions must be >= 1")
+        if not math.isfinite(self.noise_sigma):
+            raise ValueError("noise_sigma must be finite")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.checkpoint_every < 0:
@@ -211,9 +213,11 @@ class JobSpec:
     def build(self):
         """Materialise (app, graph, machine, space).
 
-        Raises ``ValueError`` for labels/knobs the registries reject —
-        the HTTP layer turns that into a 400 at submit time, before the
-        job is ever queued.
+        Raises ``ValueError`` for labels/knobs the registries reject,
+        and for a start mapping that is malformed or invalid on the
+        built graph and machine (a :class:`~repro.mapping.validate.
+        MappingError`) — the HTTP layer turns that into a 400 at submit
+        time, before the job is ever queued.
         """
         from repro.cli import parse_app_input
 
@@ -232,7 +236,13 @@ class JobSpec:
             app = make_app(self.app, **kwargs)
         except TypeError as exc:
             raise ValueError(str(exc)) from None
-        return app, app.graph(machine), machine, app.space(machine)
+        graph = app.graph(machine)
+        if self.start_mapping is not None:
+            from repro.mapping.io import mapping_from_doc
+            from repro.mapping.validate import validate
+
+            validate(graph, machine, mapping_from_doc(self.start_mapping))
+        return app, graph, machine, app.space(machine)
 
     def label(self) -> str:
         params = ",".join(

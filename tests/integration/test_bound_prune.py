@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.bounds import StaticBoundAnalyzer
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig, SimulationOracle
+from repro.core import OracleConfig, SimulationOracle, TuneRequest, TuningEngine
 from repro.machine import lassen, shepard
 from repro.runtime import SimConfig
 
@@ -35,7 +35,7 @@ CONFIGS = [
 def _tune(app_name, machine_factory, algorithm, bound_prune):
     machine = machine_factory(2)
     app = make_app(app_name)
-    driver = AutoMapDriver(
+    request = TuneRequest(
         app.graph(machine),
         machine,
         algorithm=algorithm,
@@ -45,7 +45,7 @@ def _tune(app_name, machine_factory, algorithm, bound_prune):
         seed=SEED,
         bound_prune=bound_prune,
     )
-    return driver.tune()
+    return TuningEngine().tune(request)
 
 
 def _improvements(report):

@@ -3,24 +3,28 @@
 import pytest
 
 from repro.apps import CircuitApp, HTRApp, MaestroApp, PennantApp, StencilApp
-from repro.core import AutoMapDriver, AutoMapSession, OracleConfig
+from repro.core import AutoMapSession, OracleConfig, TuneRequest, TuningEngine
 from repro.machine import lassen, shepard
 from repro.machine.kinds import ProcKind
 from repro.runtime import SimConfig
 
+ENGINE = TuningEngine()
+
 
 def tune(app, machine, algorithm="ccd", metric=None, **oracle_kwargs):
-    driver = AutoMapDriver(
-        app.graph(machine),
-        machine,
-        algorithm=algorithm,
-        oracle_config=OracleConfig(
-            max_suggestions=8000, metric=metric, **oracle_kwargs
-        ),
-        sim_config=SimConfig(noise_sigma=0.03, seed=17, spill=True),
-        space=app.space(machine),
+    prepared = ENGINE.prepare(
+        TuneRequest(
+            app.graph(machine),
+            machine,
+            algorithm=algorithm,
+            oracle_config=OracleConfig(
+                max_suggestions=8000, metric=metric, **oracle_kwargs
+            ),
+            sim_config=SimConfig(noise_sigma=0.03, seed=17, spill=True),
+            space=app.space(machine),
+        )
     )
-    return driver, driver.tune()
+    return prepared, ENGINE.run(prepared)
 
 
 class TestAutoMapBeatsOrMatchesDefault:
@@ -39,8 +43,8 @@ class TestAutoMapBeatsOrMatchesDefault:
     )
     def test_vs_default(self, app):
         machine = shepard(1)
-        driver, report = tune(app, machine)
-        default_mean = driver.measure(app.default_mapping(machine))
+        prepared, report = tune(app, machine)
+        default_mean = ENGINE.measure(prepared, app.default_mapping(machine))
         assert report.best_mean <= default_mean * 1.02
 
     def test_small_inputs_move_work_to_cpu(self):
@@ -63,8 +67,8 @@ class TestCustomMapperComparison:
     def test_automap_at_least_matches_custom(self):
         machine = shepard(1)
         app = CircuitApp(nodes=200, wires=800)
-        driver, report = tune(app, machine)
-        custom_mean = driver.measure(app.custom_mapping(machine))
+        prepared, report = tune(app, machine)
+        custom_mean = ENGINE.measure(prepared, app.custom_mapping(machine))
         assert report.best_mean <= custom_mean * 1.02
 
 
@@ -72,14 +76,14 @@ class TestMaestroEndToEnd:
     def test_automap_beats_both_strategies(self):
         machine = lassen(1)
         app = MaestroApp(lf_count=8, lf_res=32, hf_res=96)
-        driver, report = tune(
+        prepared, report = tune(
             app, machine, metric=MaestroApp.hf_metric
         )
         cpu = MaestroApp.hf_metric(
-            driver.simulator.run(app.strategy_cpu_system(machine)).report
+            prepared.simulator.run(app.strategy_cpu_system(machine)).report
         )
         gpu = MaestroApp.hf_metric(
-            driver.simulator.run(app.strategy_gpu_zero_copy(machine)).report
+            prepared.simulator.run(app.strategy_gpu_zero_copy(machine)).report
         )
         assert report.best_mean <= min(cpu, gpu) * 1.05
 

@@ -10,7 +10,7 @@ mapping, and checks the combined run beats staying on the default.
 
 
 from repro.apps import StencilApp
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 
@@ -20,20 +20,23 @@ class TestInspectorExecutor:
         machine = shepard(1)
         app = StencilApp(nx=800, ny=800)
         graph = app.graph(machine)
-        driver = AutoMapDriver(
-            graph,
-            machine,
-            algorithm="ccd",
-            # Inspector phase: a tight simulated-time budget (§3.3:
-            # "the search can be time-limited if desired").
-            oracle_config=OracleConfig(max_sim_seconds=0.5),
-            sim_config=SimConfig(noise_sigma=0.03, seed=41, spill=True),
+        engine = TuningEngine()
+        prepared = engine.prepare(
+            TuneRequest(
+                graph,
+                machine,
+                algorithm="ccd",
+                # Inspector phase: a tight simulated-time budget (§3.3:
+                # "the search can be time-limited if desired").
+                oracle_config=OracleConfig(max_sim_seconds=0.5),
+                sim_config=SimConfig(noise_sigma=0.03, seed=41, spill=True),
+            )
         )
-        default = driver.space.default_mapping()
-        per_iteration_default = driver.simulator.run(default).makespan
+        default = prepared.space.default_mapping()
+        per_iteration_default = prepared.simulator.run(default).makespan
 
-        report = driver.tune(start=default)
-        per_iteration_best = driver.simulator.run(
+        report = engine.run(prepared, start=default)
+        per_iteration_best = prepared.simulator.run(
             report.best_mapping
         ).makespan
 
@@ -55,14 +58,15 @@ class TestInspectorExecutor:
     def test_budget_zero_returns_start(self):
         machine = shepard(1)
         app = StencilApp(nx=500, ny=500)
-        driver = AutoMapDriver(
-            app.graph(machine),
-            machine,
-            algorithm="ccd",
-            oracle_config=OracleConfig(max_sim_seconds=1e-9),
-            sim_config=SimConfig(noise_sigma=0.03, seed=41, spill=True),
+        report = TuningEngine().tune(
+            TuneRequest(
+                app.graph(machine),
+                machine,
+                algorithm="ccd",
+                oracle_config=OracleConfig(max_sim_seconds=1e-9),
+                sim_config=SimConfig(noise_sigma=0.03, seed=41, spill=True),
+            )
         )
-        report = driver.tune()
         # With no budget, the only measured mapping is the start.
         assert report.evaluated <= 1
         assert report.best_mapping is not None

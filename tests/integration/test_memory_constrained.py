@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import PennantApp
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.machine.kinds import MemKind
 from repro.runtime import SimConfig
@@ -65,20 +65,23 @@ class TestMemoryConstrained:
         app = PennantApp(320, int(max_zy * 1.013), iterations=1)
         graph = app.graph(machine)
         space = app.space(machine)
-        driver = AutoMapDriver(
-            graph,
-            machine,
-            algorithm="ccd",
-            oracle_config=OracleConfig(max_suggestions=6000),
-            sim_config=SimConfig(noise_sigma=0.03, seed=31, spill=False),
-            space=space,
+        engine = TuningEngine()
+        prepared = engine.prepare(
+            TuneRequest(
+                graph,
+                machine,
+                algorithm="ccd",
+                oracle_config=OracleConfig(max_suggestions=6000),
+                sim_config=SimConfig(noise_sigma=0.03, seed=31, spill=False),
+                space=space,
+            )
         )
         zc = space.default_mapping()
         for kind in zc.kind_names():
             for i in range(zc.decision(kind).num_slots):
                 zc = zc.with_mem(kind, i, MemKind.ZERO_COPY)
-        t_zc = driver.measure(zc)
-        report = driver.tune(start=zc)
+        t_zc = engine.measure(prepared, zc)
+        report = engine.run(prepared, start=zc)
         assert report.best_mean * 4 < t_zc
         # The discovered mapping demotes a subset of slots out of FB.
         non_fb = report.best_mapping.count_mem(
@@ -90,17 +93,20 @@ class TestMemoryConstrained:
         """§5.2: the search detects OOM and moves on."""
         app = PennantApp(320, int(max_zy * 1.013), iterations=1)
         graph = app.graph(machine)
-        driver = AutoMapDriver(
-            graph,
-            machine,
-            algorithm="cd",
-            oracle_config=OracleConfig(max_suggestions=3000),
-            sim_config=SimConfig(noise_sigma=0.03, seed=31, spill=False),
+        engine = TuningEngine()
+        prepared = engine.prepare(
+            TuneRequest(
+                graph,
+                machine,
+                algorithm="cd",
+                oracle_config=OracleConfig(max_suggestions=3000),
+                sim_config=SimConfig(noise_sigma=0.03, seed=31, spill=False),
+            )
         )
-        # Start from the (failing) default explicitly: the driver's
+        # Start from the (failing) default explicitly: the engine's
         # bound-guided seed would otherwise sidestep the OOM region this
         # test exists to exercise.
-        report = driver.tune(start=driver.space.default_mapping())
+        report = engine.run(prepared, start=prepared.space.default_mapping())
         assert report.failed_evaluations > 0
         assert report.best_mapping is not None
         assert report.best_mean > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import PennantApp
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 
@@ -15,7 +15,7 @@ def reports():
     graph = app.graph(machine)
     out = {}
     for algo in ("ccd", "cd", "opentuner"):
-        driver = AutoMapDriver(
+        request = TuneRequest(
             graph,
             machine,
             algorithm=algo,
@@ -26,7 +26,7 @@ def reports():
             # dominated simulations and so lowers evaluation_fraction.
             bound_prune=False,
         )
-        out[algo] = driver.tune()
+        out[algo] = TuningEngine().tune(request)
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import PennantApp
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 
@@ -34,7 +34,7 @@ def graph_and_space(machine):
 
 
 def _tune(graph, space, machine, static_prune, workers=1):
-    driver = AutoMapDriver(
+    request = TuneRequest(
         graph,
         machine,
         algorithm="cd",
@@ -48,7 +48,7 @@ def _tune(graph, space, machine, static_prune, workers=1):
         # candidates before the pruner ever sees them.
         bound_order=False,
     )
-    return driver.tune()
+    return TuningEngine().tune(request)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.resilience import load_checkpoint
 from repro.runtime import SimConfig
@@ -30,10 +30,10 @@ class KillAfter:
             raise KeyboardInterrupt
 
 
-def make_driver(**kwargs):
+def tune(**kwargs):
     machine = shepard(2)
     app = make_app("stencil")
-    return AutoMapDriver(
+    request = TuneRequest(
         app.graph(machine),
         machine,
         algorithm="ccd",
@@ -43,6 +43,7 @@ def make_driver(**kwargs):
         seed=SEED,
         **kwargs,
     )
+    return TuningEngine().tune(request)
 
 
 def comparable(metrics: dict) -> dict:
@@ -54,24 +55,23 @@ def comparable(metrics: dict) -> dict:
 
 class TestMetricsSurviveResume:
     def test_resumed_metrics_equal_baseline(self, tmp_path):
-        baseline = make_driver().tune()
+        baseline = tune()
         assert baseline.metrics is not None
         assert baseline.metrics["counters"]["oracle.replayed"] == 0
 
         path = tmp_path / "checkpoint.json"
-        crashing = make_driver(
-            checkpoint_path=path,
-            checkpoint_every=2,
-            observers=[KillAfter(3)],
-        )
         with pytest.raises(KeyboardInterrupt):
-            crashing.tune()
+            tune(
+                checkpoint_path=path,
+                checkpoint_every=2,
+                observers=(KillAfter(3),),
+            )
 
-        resumed = make_driver(
+        resumed = tune(
             checkpoint_path=path,
             checkpoint_every=2,
             resume_checkpoint=load_checkpoint(path),
-        ).tune()
+        )
         assert resumed.metrics is not None
         assert resumed.metrics["counters"]["oracle.replayed"] > 0
         assert comparable(resumed.metrics) == comparable(baseline.metrics)
@@ -83,9 +83,7 @@ class TestMetricsSurviveResume:
 
     def test_checkpoint_embeds_metrics_snapshot(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        report = make_driver(
-            checkpoint_path=path, checkpoint_every=5
-        ).tune()
+        report = tune(checkpoint_path=path, checkpoint_every=5)
         doc = json.loads(path.read_text())
         assert doc["format"] == "automap-checkpoint-v1"
         embedded = doc["metrics"]

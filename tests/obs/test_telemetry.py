@@ -169,7 +169,7 @@ class TestDriverWiring:
         # Telemetry labels carry the algorithm's cursor.
         assert any("kind=" in r.label for r in records)
         # The algorithm's sink is detached after the tune.
-        assert session.driver.algorithm.telemetry is None
+        assert session.prepared.algorithm.telemetry is None
 
     def test_telemetry_identical_serial_vs_workers(self, tmp_path):
         """Everything except wall_seconds is derived from the simulated

@@ -22,7 +22,7 @@ from repro.analysis.equivalence import (
 )
 from repro.analysis.routing import channel_key
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import MACHINE_ZOO
 from repro.machine.overrides import apply_machine_params
 from repro.runtime import SimConfig
@@ -113,7 +113,7 @@ class _TuneCache:
             graph, machine, space, config = _materialize(
                 base_index, params
             )
-            self._reports[key] = AutoMapDriver(
+            request = TuneRequest(
                 graph,
                 machine,
                 algorithm=config["algorithm"],
@@ -128,7 +128,8 @@ class _TuneCache:
                 ),
                 space=space,
                 seed=config["seed"],
-            ).tune()
+            )
+            self._reports[key] = TuningEngine().tune(request)
         return self._reports[key]
 
 

@@ -25,7 +25,8 @@ class TestInterruptExitCode:
             def __init__(self, *args, **kwargs):
                 pass
 
-            def default_mapping(self):
+            @property
+            def prepared(self):
                 raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "AutoMapSession", InterruptedSession)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.resilience import load_checkpoint
 from repro.runtime import SimConfig
@@ -34,10 +34,10 @@ class KillAfter:
             raise KeyboardInterrupt
 
 
-def make_driver(app_name, algorithm, max_suggestions=800, **kwargs):
+def make_request(app_name, algorithm, max_suggestions=800, **kwargs):
     machine = shepard(2)
     app = make_app(app_name)
-    return AutoMapDriver(
+    return TuneRequest(
         app.graph(machine),
         machine,
         algorithm=algorithm,
@@ -47,6 +47,10 @@ def make_driver(app_name, algorithm, max_suggestions=800, **kwargs):
         seed=SEED,
         **kwargs,
     )
+
+
+def tune(app_name, algorithm, **kwargs):
+    return TuningEngine().tune(make_request(app_name, algorithm, **kwargs))
 
 
 def assert_reports_identical(baseline, resumed):
@@ -71,30 +75,28 @@ def assert_reports_identical(baseline, resumed):
 def kill_and_resume(app_name, algorithm, tmp_path, kill_after=3):
     """Run uninterrupted; run again with a mid-search crash; resume;
     return (baseline report, resumed report)."""
-    baseline = make_driver(app_name, algorithm).tune()
+    baseline = tune(app_name, algorithm)
 
     path = tmp_path / "checkpoint.json"
-    crashing = make_driver(
-        app_name,
-        algorithm,
-        checkpoint_path=path,
-        checkpoint_every=2,
-        observers=[KillAfter(kill_after)],
-    )
     with pytest.raises(KeyboardInterrupt):
-        crashing.tune()
+        tune(
+            app_name,
+            algorithm,
+            checkpoint_path=path,
+            checkpoint_every=2,
+            observers=(KillAfter(kill_after),),
+        )
     assert path.exists(), "interrupt must flush a final checkpoint"
     killed_at = load_checkpoint(path)
     assert 0 < killed_at.evaluated <= baseline.evaluated
 
-    resumed_driver = make_driver(
+    resumed = tune(
         app_name,
         algorithm,
         checkpoint_path=path,
         checkpoint_every=2,
         resume_checkpoint=load_checkpoint(path),
     )
-    resumed = resumed_driver.tune()
     assert resumed.resumed
     # Every ledgered record replays: executed and failed evaluations.
     assert resumed.replayed == (
@@ -117,53 +119,51 @@ class TestKillThenResume:
     def test_double_kill(self, tmp_path):
         """Crash, resume, crash again, resume again: re-checkpointing a
         resumed run must carry un-replayed ledger entries forward."""
-        baseline = make_driver("stencil", "ccd").tune()
+        baseline = tune("stencil", "ccd")
         path = tmp_path / "checkpoint.json"
 
-        first = make_driver(
-            "stencil",
-            "ccd",
-            checkpoint_path=path,
-            checkpoint_every=2,
-            observers=[KillAfter(2)],
-        )
         with pytest.raises(KeyboardInterrupt):
-            first.tune()
+            tune(
+                "stencil",
+                "ccd",
+                checkpoint_path=path,
+                checkpoint_every=2,
+                observers=(KillAfter(2),),
+            )
 
-        second = make_driver(
-            "stencil",
-            "ccd",
-            checkpoint_path=path,
-            checkpoint_every=2,
-            resume_checkpoint=load_checkpoint(path),
-            observers=[KillAfter(4)],
-        )
         with pytest.raises(KeyboardInterrupt):
-            second.tune()
+            tune(
+                "stencil",
+                "ccd",
+                checkpoint_path=path,
+                checkpoint_every=2,
+                resume_checkpoint=load_checkpoint(path),
+                observers=(KillAfter(4),),
+            )
 
-        final = make_driver(
+        final = tune(
             "stencil",
             "ccd",
             checkpoint_path=path,
             checkpoint_every=2,
             resume_checkpoint=load_checkpoint(path),
         )
-        assert_reports_identical(baseline, final.tune())
+        assert_reports_identical(baseline, final)
 
     def test_resume_after_completion(self, tmp_path):
         """Resuming a finished run replays everything and reproduces
         the same report (idempotent resume)."""
         path = tmp_path / "checkpoint.json"
-        baseline = make_driver(
+        baseline = tune(
             "stencil", "ccd", checkpoint_path=path, checkpoint_every=10
-        ).tune()
-        resumed = make_driver(
+        )
+        resumed = tune(
             "stencil",
             "ccd",
             checkpoint_path=path,
             checkpoint_every=10,
             resume_checkpoint=load_checkpoint(path),
-        ).tune()
+        )
         assert resumed.replayed == baseline.evaluated
         assert_reports_identical(baseline, resumed)
 
@@ -172,14 +172,14 @@ class TestKillThenResume:
         ledgered candidates while new work still fans out to workers."""
         baseline, _ = kill_and_resume("stencil", "ccd", tmp_path)
         path = tmp_path / "checkpoint.json"
-        parallel = make_driver(
+        parallel = tune(
             "stencil",
             "ccd",
             checkpoint_path=path,
             checkpoint_every=5,
             resume_checkpoint=load_checkpoint(path),
             workers=2,
-        ).tune()
+        )
         assert_reports_identical(baseline, parallel)
 
 
@@ -196,15 +196,14 @@ class TestBoundPruneResume:
 
     def test_checkpoint_roundtrips_prune_counter(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        crashing = make_driver(
-            "stencil",
-            "ccd",
-            checkpoint_path=path,
-            checkpoint_every=2,
-            observers=[KillAfter(3)],
-        )
         with pytest.raises(KeyboardInterrupt):
-            crashing.tune()
+            tune(
+                "stencil",
+                "ccd",
+                checkpoint_path=path,
+                checkpoint_every=2,
+                observers=(KillAfter(3),),
+            )
         killed_at = load_checkpoint(path)
         assert killed_at.bound_pruned >= 0
         # The flushed ledger only holds really-evaluated candidates;
@@ -219,24 +218,27 @@ class TestResumeGuards:
         from repro.resilience import CheckpointMismatch
 
         path = tmp_path / "checkpoint.json"
-        crashing = make_driver(
-            "stencil",
-            "ccd",
-            checkpoint_path=path,
-            checkpoint_every=2,
-            observers=[KillAfter(3)],
-        )
         with pytest.raises(KeyboardInterrupt):
-            crashing.tune()
-        with pytest.raises(CheckpointMismatch):
-            make_driver(
-                "circuit",
+            tune(
+                "stencil",
                 "ccd",
-                resume_checkpoint=load_checkpoint(path),
+                checkpoint_path=path,
+                checkpoint_every=2,
+                observers=(KillAfter(3),),
             )
         with pytest.raises(CheckpointMismatch):
-            make_driver(
-                "stencil",
-                "random",
-                resume_checkpoint=load_checkpoint(path),
+            TuningEngine().prepare(
+                make_request(
+                    "circuit",
+                    "ccd",
+                    resume_checkpoint=load_checkpoint(path),
+                )
+            )
+        with pytest.raises(CheckpointMismatch):
+            TuningEngine().prepare(
+                make_request(
+                    "stencil",
+                    "random",
+                    resume_checkpoint=load_checkpoint(path),
+                )
             )

@@ -11,19 +11,18 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig, SimulationOracle
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
-from repro.parallel import BatchOracle
 from repro.resilience.faults import FaultPlan
-from repro.runtime import SimConfig, Simulator
+from repro.runtime import SimConfig
 
 SEED = 2023
 
 
-def make_driver(algorithm="ccd", max_suggestions=300, **kwargs):
+def tune(algorithm="ccd", max_suggestions=300, **kwargs):
     machine = shepard(2)
     app = make_app("stencil")
-    return AutoMapDriver(
+    request = TuneRequest(
         app.graph(machine),
         machine,
         algorithm=algorithm,
@@ -36,6 +35,7 @@ def make_driver(algorithm="ccd", max_suggestions=300, **kwargs):
         bound_prune=False,
         **kwargs,
     )
+    return TuningEngine().tune(request)
 
 
 def assert_reports_identical(serial, supervised):
@@ -98,67 +98,34 @@ class TestFaultPlan:
         )
 
 
-class TestBatchOracleAttributeDelegation:
-    @pytest.fixture
-    def batch_oracle(self, diamond_graph, mini_machine):
-        simulator = Simulator(
-            diamond_graph, mini_machine, SimConfig(noise_sigma=0.03, seed=7)
-        )
-        oracle = SimulationOracle(simulator, OracleConfig())
-        batch = BatchOracle(oracle, workers=1)
-        yield batch
-        batch.close()
-
-    def test_public_attributes_delegate(self, batch_oracle):
-        assert batch_oracle.suggested == 0
-        assert batch_oracle.evaluated == 0
-
-    def test_underscore_names_never_delegate(self, batch_oracle):
-        """Dunder/underscore lookups (``__getstate__``, ``__deepcopy__``,
-        ...) must raise AttributeError instead of delegating — otherwise
-        copy/pickle protocols silently operate on the wrapped oracle."""
-        with pytest.raises(AttributeError):
-            batch_oracle._no_such_attribute
-        with pytest.raises(AttributeError):
-            batch_oracle.__deepcopy__
-        with pytest.raises(AttributeError):
-            batch_oracle.__reduce_ex_custom__
-
-    def test_missing_public_attribute_still_raises(self, batch_oracle):
-        with pytest.raises(AttributeError):
-            batch_oracle.definitely_not_an_attribute
-
-
 @pytest.mark.slow
 class TestInjectedFaults:
     """End-to-end: injected worker faults never change the report."""
 
     def test_occasional_crashes_are_recovered(self, monkeypatch):
-        serial = make_driver().tune()
+        serial = tune()
         monkeypatch.setenv("REPRO_FAULT_CRASH_P", "0.3")
         monkeypatch.setenv("REPRO_FAULT_SEED", "7")
-        supervised = make_driver(workers=2).tune()
+        supervised = tune(workers=2)
         assert_reports_identical(serial, supervised)
         assert supervised.recovery.any_events
         assert supervised.recovery.broken_pools > 0
 
     def test_total_crash_degrades_to_serial(self, monkeypatch):
-        serial = make_driver().tune()
+        serial = tune()
         monkeypatch.setenv("REPRO_FAULT_CRASH_P", "1.0")
         monkeypatch.setenv("REPRO_FAULT_SEED", "7")
-        supervised = make_driver(workers=2).tune()
+        supervised = tune(workers=2)
         assert_reports_identical(serial, supervised)
         assert supervised.recovery.serial_fallback
         assert supervised.recovery.pool_rebuilds > 0
 
     def test_hung_workers_are_timed_out(self, monkeypatch):
-        serial = make_driver(max_suggestions=120).tune()
+        serial = tune(max_suggestions=120)
         monkeypatch.setenv("REPRO_FAULT_HANG_P", "1.0")
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "60")
         monkeypatch.setenv("REPRO_FAULT_SEED", "3")
-        supervised = make_driver(
-            max_suggestions=120, workers=2, worker_timeout=0.5
-        ).tune()
+        supervised = tune(max_suggestions=120, workers=2, worker_timeout=0.5)
         assert_reports_identical(serial, supervised)
         assert supervised.recovery.timeouts > 0
         assert supervised.recovery.pool_rebuilds > 0

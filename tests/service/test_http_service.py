@@ -14,10 +14,52 @@ import urllib.request
 
 import pytest
 
-from repro.service import MappingService, make_server
+from repro.mapping.io import mapping_to_doc
+from repro.service import JobSpec, MappingService, make_server
 from repro.service.http import MAX_BODY_BYTES
 
 SPEC = {"app": "stencil", "max_suggestions": 40, "checkpoint_every": 1}
+
+
+def _default_start():
+    """SPEC's default mapping as a ``start_mapping`` document (stencil
+    kinds: ``stencil`` with 11 slots and ``increment`` with 1, both on
+    GPU framebuffer)."""
+    _, _, _, space = JobSpec.from_doc(dict(SPEC)).build()
+    return mapping_to_doc(space.default_mapping())
+
+
+def _with_entry(doc, kind, **fields):
+    return dict(doc, **{kind: dict(doc[kind], **fields)})
+
+
+#: (id, start-document builder over the valid default, error fragment).
+BAD_STARTS = [
+    ("non-object-entry", lambda doc: {"kinds": 5}, "malformed mapping"),
+    ("missing-fields", lambda doc: {"stencil": {}}, "malformed mapping"),
+    (
+        "missing-kind",
+        lambda doc: {"stencil": doc["stencil"]},
+        "'increment' has no decision",
+    ),
+    (
+        "unknown-kind",
+        lambda doc: dict(doc, bogus=doc["increment"]),
+        "unknown task kind 'bogus'",
+    ),
+    (
+        "unaddressable",
+        lambda doc: _with_entry(doc, "increment", mem_kinds=["system"]),
+        "not addressable",
+    ),
+    (
+        "too-few-slots",
+        lambda doc: _with_entry(
+            doc, "stencil", mem_kinds=doc["stencil"]["mem_kinds"][:-1]
+        ),
+        "covers 10 slots",
+    ),
+]
 
 
 @pytest.fixture
@@ -214,6 +256,31 @@ class TestErrorPaths:
         status, doc = _raw_post(service_url, str(len(body)), body)
         assert status == 400
         assert "invalid JSON body" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "build, fragment",
+        [(build, fragment) for _, build, fragment in BAD_STARTS],
+        ids=[name for name, _, _ in BAD_STARTS],
+    )
+    def test_bad_start_mapping_is_400(self, service_url, build, fragment):
+        spec = dict(SPEC, start_mapping=build(_default_start()))
+        status, doc = _post(f"{service_url}/jobs", spec)
+        assert status == 400
+        assert fragment in doc["error"]
+
+    def test_valid_start_mapping_is_accepted(self, service_url):
+        spec = dict(SPEC, start_mapping=_default_start())
+        status, submitted = _post(f"{service_url}/jobs", spec)
+        assert status == 201
+        done = _await_done(service_url, submitted["job_id"])
+        assert done["state"] == "done"
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_is_400(self, service_url, sigma):
+        spec = dict(SPEC, noise_sigma=sigma)
+        status, doc = _post(f"{service_url}/jobs", spec)
+        assert status == 400
+        assert "noise_sigma must be finite" in doc["error"]
 
     def test_unknown_job_is_404(self, service_url):
         status, doc = _get(f"{service_url}/jobs/job-424242")

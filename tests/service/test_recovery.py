@@ -3,7 +3,7 @@ after restart with a result byte-identical to an uninterrupted run."""
 
 from __future__ import annotations
 
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.resilience.checkpoint import (
     CHECKPOINT_FILENAME,
     try_load_checkpoint,
@@ -45,7 +45,7 @@ def _crash_mid_job(service: MappingService, job_id: str) -> None:
     _, graph, machine, space = spec.build()
     workdir = service.store.work_dir(job_id)
     workdir.mkdir(parents=True, exist_ok=True)
-    driver = AutoMapDriver(
+    request = TuneRequest(
         graph,
         machine,
         algorithm=spec.algorithm,
@@ -60,10 +60,10 @@ def _crash_mid_job(service: MappingService, job_id: str) -> None:
         seed=spec.seed,
         checkpoint_path=workdir / CHECKPOINT_FILENAME,
         checkpoint_every=spec.checkpoint_every,
-        observers=[_KillAfter(3)],
+        observers=(_KillAfter(3),),
     )
     try:
-        driver.tune()
+        TuningEngine().tune(request)
     except KeyboardInterrupt:
         pass
     assert (workdir / CHECKPOINT_FILENAME).exists()

@@ -1,15 +1,17 @@
-"""Unit tests for the AutoMap driver, session, mapper, and space file."""
+"""Unit tests for the AutoMap driver (the tuning engine), session,
+mapper, and space file."""
 
 import pytest
 
 from repro.core import (
-    AutoMapDriver,
     AutoMapMapper,
     AutoMapSession,
+    TuneRequest,
+    TuningEngine,
     generate_space_file,
     load_space_file,
 )
-from repro.core.driver import make_algorithm
+from repro.core.engine import make_algorithm
 from repro.machine.kinds import MemKind
 from repro.mapping import SearchSpace
 from repro.runtime import SimConfig
@@ -27,13 +29,14 @@ class TestMakeAlgorithm:
 
 class TestDriver:
     def test_tune_produces_report(self, diamond_graph, mini_machine):
-        driver = AutoMapDriver(
-            diamond_graph,
-            mini_machine,
-            algorithm="ccd",
-            sim_config=SimConfig(noise_sigma=0.02, seed=9),
+        report = TuningEngine().tune(
+            TuneRequest(
+                diamond_graph,
+                mini_machine,
+                algorithm="ccd",
+                sim_config=SimConfig(noise_sigma=0.02, seed=9),
+            )
         )
-        report = driver.tune()
         assert report.best_mapping is not None
         assert report.best_mean > 0
         assert report.evaluated > 0
@@ -41,28 +44,33 @@ class TestDriver:
         assert 0 < report.evaluation_fraction <= 1
 
     def test_final_reevaluation_31_runs(self, diamond_graph, mini_machine):
-        driver = AutoMapDriver(
-            diamond_graph, mini_machine,
-            sim_config=SimConfig(noise_sigma=0.02, seed=9),
+        report = TuningEngine().tune(
+            TuneRequest(
+                diamond_graph, mini_machine,
+                sim_config=SimConfig(noise_sigma=0.02, seed=9),
+            )
         )
-        report = driver.tune()
         # Every finalist re-measured to >= 31 samples (§5).
         for _, _, _, count in report.finalists:
             assert count >= 31
         assert len(report.finalists) <= 5
 
     def test_best_at_most_default(self, diamond_graph, mini_machine):
-        driver = AutoMapDriver(
-            diamond_graph, mini_machine,
-            sim_config=SimConfig(noise_sigma=0.02, seed=9),
+        engine = TuningEngine()
+        prepared = engine.prepare(
+            TuneRequest(
+                diamond_graph, mini_machine,
+                sim_config=SimConfig(noise_sigma=0.02, seed=9),
+            )
         )
-        default_mean = driver.measure(driver.space.default_mapping())
-        report = driver.tune()
+        default_mean = engine.measure(
+            prepared, prepared.space.default_mapping()
+        )
+        report = engine.run(prepared)
         assert report.best_mean <= default_mean * 1.02
 
     def test_describe(self, diamond_graph, mini_machine):
-        driver = AutoMapDriver(diamond_graph, mini_machine)
-        report = driver.tune()
+        report = TuningEngine().tune(TuneRequest(diamond_graph, mini_machine))
         text = report.describe()
         assert "best mean time" in text and "evaluated" in text
 
@@ -86,7 +94,10 @@ class TestSession:
             diamond_graph, mini_machine,
             sim_config=SimConfig(noise_sigma=0.02, seed=9),
         )
-        t = session.measure(session.default_mapping(), runs=5)
+        prepared = session.prepared
+        t = TuningEngine().measure(
+            prepared, prepared.space.default_mapping(), runs=5
+        )
         assert t > 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import lassen, shepard
 from repro.machine.kinds import ADDRESSABLE
 from repro.mapping import SearchSpace
@@ -224,7 +224,7 @@ def test_tune_identity(app_name):
     reports = {}
     for incremental in (True, False):
         graph = _graph(app_name, machine)
-        driver = AutoMapDriver(
+        request = TuneRequest(
             graph,
             machine,
             algorithm="ccd",
@@ -239,7 +239,7 @@ def test_tune_identity(app_name):
             seed=7,
             trace=True,
         )
-        reports[incremental] = driver.tune()
+        reports[incremental] = TuningEngine().tune(request)
     inc, full = reports[True], reports[False]
     assert inc.best_mapping.key() == full.best_mapping.key()
     assert inc.best_mean.hex() == full.best_mean.hex()

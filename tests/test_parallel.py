@@ -1,23 +1,25 @@
-"""Tests for :mod:`repro.parallel` — the batch evaluation engine.
+"""Tests for parallel batch evaluation (:mod:`repro.parallel` and the
+oracle's batch API).
 
 The contract under test: with a fixed seed, every observable result of a
-search run through :class:`~repro.parallel.BatchOracle` — best mapping,
-best performance, the full §5.3 trace, and the suggested/evaluated
-accounting — is bit-identical between the serial path (``workers=1``,
-no processes spawned) and the process-pool path.
+search run through :class:`~repro.core.SimulationOracle`'s batch API —
+best mapping, best performance, the full §5.3 trace, and the
+suggested/evaluated accounting — is bit-identical between the serial
+path (``workers=1``, no processes spawned) and the process-pool path.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import closing
 
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig, SimulationOracle
+from repro.core import OracleConfig, SimulationOracle, TuneRequest, TuningEngine
 from repro.machine import shepard
-from repro.parallel import BatchOracle, SimulatorSpec
+from repro.parallel import SimulatorSpec
 from repro.runtime import SimConfig, Simulator
 from repro.util.rng import RngStream
 
@@ -26,10 +28,10 @@ SEED = 2023
 ALGORITHMS = ["ccd", "cd", "random", "opentuner"]
 
 
-def make_driver(app_name, algorithm, workers, max_suggestions=800, **kwargs):
+def tune(app_name, algorithm, workers, max_suggestions=800, **kwargs):
     machine = shepard(2)
     app = make_app(app_name, **kwargs)
-    return AutoMapDriver(
+    request = TuneRequest(
         app.graph(machine),
         machine,
         algorithm=algorithm,
@@ -39,6 +41,7 @@ def make_driver(app_name, algorithm, workers, max_suggestions=800, **kwargs):
         seed=SEED,
         workers=workers,
     )
+    return TuningEngine().tune(request)
 
 
 def assert_reports_identical(serial, parallel):
@@ -54,36 +57,39 @@ def assert_reports_identical(serial, parallel):
 class TestParallelSerialEquivalence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_circuit(self, algorithm):
-        serial = make_driver("circuit", algorithm, workers=1).tune()
-        parallel = make_driver("circuit", algorithm, workers=4).tune()
+        serial = tune("circuit", algorithm, workers=1)
+        parallel = tune("circuit", algorithm, workers=4)
         assert_reports_identical(serial, parallel)
 
     @pytest.mark.parametrize("algorithm", ["ccd", "random"])
     def test_stencil(self, algorithm):
-        serial = make_driver("stencil", algorithm, workers=1).tune()
-        parallel = make_driver("stencil", algorithm, workers=4).tune()
+        serial = tune("stencil", algorithm, workers=1)
+        parallel = tune("stencil", algorithm, workers=4)
         assert_reports_identical(serial, parallel)
 
 
 class TestBatchOracle:
+    """The oracle's batch API: ``batch_size``, ``peek``, ``prefetch``
+    and ``evaluate_many``."""
+
     @pytest.fixture
     def setup(self, diamond_graph, mini_machine, diamond_space):
         simulator = Simulator(
             diamond_graph, mini_machine, SimConfig(noise_sigma=0.03, seed=7)
         )
-        oracle = SimulationOracle(simulator, OracleConfig())
-        return simulator, oracle, diamond_space
+        return simulator, diamond_space
 
     def test_evaluate_many_dedups_within_batch(self, setup):
-        simulator, oracle, space = setup
+        simulator, space = setup
         rng = RngStream(11)
         unique = [
             space.random_mapping(rng.fork(str(i)), valid=True)
             for i in range(4)
         ]
         batch = unique + unique  # every candidate suggested twice
-        with BatchOracle(oracle, workers=2) as batch_oracle:
-            outcomes = batch_oracle.evaluate_many(batch)
+        oracle = SimulationOracle(simulator, OracleConfig(), workers=2)
+        with closing(oracle):
+            outcomes = oracle.evaluate_many(batch)
         # All 8 suggestions are accounted for, but each unique mapping is
         # simulated exactly once; the second half comes from the profiles
         # database.
@@ -96,20 +102,20 @@ class TestBatchOracle:
             assert first.performance == second.performance
 
     def test_workers_1_never_spawns_processes(self, setup):
-        _, oracle, space = setup
+        simulator, space = setup
         rng = RngStream(12)
         batch = [
             space.random_mapping(rng.fork(str(i)), valid=True)
             for i in range(6)
         ]
-        batch_oracle = BatchOracle(oracle, workers=1)
-        outcomes = batch_oracle.evaluate_many(batch)
+        oracle = SimulationOracle(simulator, OracleConfig(), workers=1)
+        outcomes = oracle.evaluate_many(batch)
         assert len(outcomes) == len(batch)
-        assert batch_oracle.batch_size == 1
-        assert not batch_oracle.pool_started
-        assert batch_oracle.prefetch(batch) == 0
-        assert not batch_oracle.pool_started
-        batch_oracle.close()
+        assert oracle.batch_size == 1
+        assert not oracle.pool_started
+        assert oracle.prefetch(batch) == 0
+        assert not oracle.pool_started
+        oracle.close()
 
     def test_evaluate_many_stops_at_budget(
         self, diamond_graph, mini_machine, diamond_space
@@ -118,15 +124,15 @@ class TestBatchOracle:
             diamond_graph, mini_machine, SimConfig(noise_sigma=0.03, seed=7)
         )
         oracle = SimulationOracle(
-            simulator, OracleConfig(max_suggestions=3)
+            simulator, OracleConfig(max_suggestions=3), workers=2
         )
         rng = RngStream(13)
         batch = [
             diamond_space.random_mapping(rng.fork(str(i)), valid=True)
             for i in range(6)
         ]
-        with BatchOracle(oracle, workers=2) as batch_oracle:
-            outcomes = batch_oracle.evaluate_many(batch)
+        with closing(oracle):
+            outcomes = oracle.evaluate_many(batch)
         assert len(outcomes) == 3
         assert oracle.suggested == 3
 
@@ -135,42 +141,44 @@ class TestBatchOracle:
             diamond_graph, mini_machine, SimConfig(noise_sigma=0.03, seed=7)
         )
         oracle = SimulationOracle(
-            simulator, OracleConfig(max_suggestions=2)
+            simulator, OracleConfig(max_suggestions=2), workers=2
         )
         rng = RngStream(14)
         batch = [
             diamond_space.random_mapping(rng.fork(str(i)), valid=True)
             for i in range(8)
         ]
-        with BatchOracle(oracle, workers=2) as batch_oracle:
-            submitted = batch_oracle.prefetch(batch)
+        with closing(oracle):
+            submitted = oracle.prefetch(batch)
         assert submitted <= 2
 
     def test_peek_matches_evaluate(self, setup):
-        simulator, oracle, space = setup
-        batch_oracle = BatchOracle(oracle, workers=1)
+        simulator, space = setup
+        oracle = SimulationOracle(simulator, OracleConfig(), workers=1)
         mapping = space.default_mapping()
         # Unknown candidates peek as None (an execution would be needed).
-        assert batch_oracle.peek(mapping) is None
-        outcome = batch_oracle.evaluate(mapping)
+        assert oracle.peek(mapping) is None
+        outcome = oracle.evaluate(mapping)
         # Known candidates peek exactly what a re-evaluation would report.
-        assert batch_oracle.peek(mapping) == outcome.performance
-        assert batch_oracle.evaluate(mapping).performance == outcome.performance
-        batch_oracle.close()
+        assert oracle.peek(mapping) == outcome.performance
+        assert oracle.evaluate(mapping).performance == outcome.performance
+        oracle.close()
 
     def test_invalid_candidates_never_reach_workers(self, setup):
-        simulator, oracle, space = setup
+        simulator, space = setup
         invalid = space.random_mapping(RngStream(15), valid=False)
         from repro.mapping.validate import explain_invalid
 
         if explain_invalid(simulator.graph, simulator.machine, invalid) is None:
             pytest.skip("random unconstrained draw happened to be valid")
-        with BatchOracle(oracle, workers=2) as batch_oracle:
-            outcomes = batch_oracle.evaluate_many([invalid])
+        oracle = SimulationOracle(simulator, OracleConfig(), workers=2)
+        with closing(oracle):
+            outcomes = oracle.evaluate_many([invalid])
+            # Nothing needed simulating, so the pool was never started
+            # (checked before close(), which would stop it anyway).
+            assert not oracle.pool_started
         assert outcomes[0].invalid
         assert simulator.executions == 0
-        # Nothing needed simulating, so the pool was never started.
-        assert not batch_oracle.pool_started
 
 
 class TestSimulatorSpec:
@@ -216,11 +224,10 @@ def test_ccd_circuit_wall_clock_speedup():
     faster with 4 workers."""
 
     def timed(workers):
-        driver = make_driver(
+        start = time.perf_counter()
+        report = tune(
             "circuit", "ccd", workers, max_suggestions=400, iterations=30
         )
-        start = time.perf_counter()
-        report = driver.tune()
         return report, time.perf_counter() - start
 
     serial_report, serial_wall = timed(1)

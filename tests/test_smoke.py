@@ -13,7 +13,7 @@ import math
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.runtime import SimConfig
 
@@ -34,17 +34,20 @@ SMOKE_INPUTS = {
 def test_end_to_end_search(app_name):
     machine = shepard(1)
     app = make_app(app_name, **SMOKE_INPUTS[app_name])
-    driver = AutoMapDriver(
-        app.graph(machine),
-        machine,
-        algorithm="ccd",
-        oracle_config=OracleConfig(max_suggestions=150),
-        sim_config=SimConfig(noise_sigma=0.04, seed=7, spill=True),
-        space=app.space(machine),
-        seed=7,
+    engine = TuningEngine()
+    prepared = engine.prepare(
+        TuneRequest(
+            app.graph(machine),
+            machine,
+            algorithm="ccd",
+            oracle_config=OracleConfig(max_suggestions=150),
+            sim_config=SimConfig(noise_sigma=0.04, seed=7, spill=True),
+            space=app.space(machine),
+            seed=7,
+        )
     )
-    default_mean = driver.measure(driver.space.default_mapping())
-    report = driver.tune()
+    default_mean = engine.measure(prepared, prepared.space.default_mapping())
+    report = engine.run(prepared)
     assert report.best_mapping is not None
     assert math.isfinite(report.best_mean)
     assert report.best_mean > 0
