@@ -47,8 +47,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
+from repro.util.logging import get_logger
 
 __all__ = ["CACHE_ARTIFACTS", "ResultCache"]
+
+_LOG = get_logger("service.cache")
 
 #: Artifact filenames a complete cache entry holds; ``result.json`` is
 #: mandatory (the deterministic report), the others best-effort.
@@ -234,7 +237,8 @@ class ResultCache:
         .prove_equivalent`) against the submitted one.  Returns
         ``(candidate_fingerprint, proof)`` — with the proof's relabeling
         mapping candidate names onto the submission's — or ``None``.
-        Candidates that fail to rebuild or to prove are skipped; only a
+        Candidates that fail to rebuild or to prove are skipped, logged
+        and counted (``service.equiv.candidate_errors``); only a
         completed proof ever serves bytes, so a class-key collision costs
         a proof attempt, never correctness.
         """
@@ -249,22 +253,40 @@ class ResultCache:
             if spec_doc is None:
                 continue
             try:
+                # A spec that no longer validates or builds raises
+                # ValueError (the submit path's 400).
                 cand_spec = JobSpec.from_doc(spec_doc)
                 _, graph, machine, space = cand_spec.build()
-                source = Workload(
-                    graph,
-                    machine,
-                    spec_config(cand_spec),
-                    cand_spec.start_mapping,
-                    space,
-                )
+            except ValueError as exc:
+                self._skip_candidate(candidate, "rebuild", exc)
+                continue
+            source = Workload(
+                graph,
+                machine,
+                spec_config(cand_spec),
+                cand_spec.start_mapping,
+                space,
+            )
+            try:
                 proof = prove_equivalent(source, workload)
-            except Exception:  # noqa: BLE001 - stale/foreign entries
+            except Exception as exc:  # noqa: BLE001 - best-effort proof
+                self._skip_candidate(candidate, "prove", exc)
                 continue
             if proof.equivalent:
                 self.metrics.counter("service.cache.equiv_hits").inc()
                 return candidate, proof
         return None
+
+    def _skip_candidate(self, fingerprint: str, step: str, exc) -> None:
+        _LOG.warning(
+            "equivalence candidate %s skipped: %s failed (%s: %s)",
+            fingerprint[:16],
+            step,
+            type(exc).__name__,
+            exc,
+            exc_info=exc,
+        )
+        self.metrics.counter("service.equiv.candidate_errors").inc()
 
     # ------------------------------------------------------------------
     # Size accounting and eviction

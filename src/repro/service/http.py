@@ -42,7 +42,7 @@ from repro.obs.trace import TRACE_FILENAME
 from repro.service.cache import ResultCache
 from repro.service.result import RESULT_FILENAME
 from repro.service.spec import JobSpec
-from repro.service.store import JobRecord, JobState, JobStore
+from repro.service.store import CorruptJobRecord, JobRecord, JobState, JobStore
 from repro.service.worker import JobWorker
 from repro.util.logging import get_logger
 
@@ -75,14 +75,14 @@ class MappingService:
 
     Creating the service recovers jobs a previous process died while
     running (they re-queue and resume from their checkpoints);
-    :meth:`start` launches the worker thread.
+    :meth:`start` launches the worker threads, which sleep on the
+    store's queue until :meth:`submit` queues a job.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         metrics: Optional[MetricsRegistry] = None,
-        poll_interval: float = 0.05,
         workers: int = 1,
         cache_max_bytes: Optional[int] = None,
     ) -> None:
@@ -90,7 +90,7 @@ class MappingService:
             raise ValueError("workers must be >= 1")
         self.root = Path(root)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.store = JobStore(self.root)
+        self.store = JobStore(self.root, metrics=self.metrics)
         self.cache = ResultCache(
             self.root, metrics=self.metrics, max_bytes=cache_max_bytes
         )
@@ -107,7 +107,6 @@ class MappingService:
                 self.store,
                 self.cache,
                 metrics=self.metrics,
-                poll_interval=poll_interval,
                 index=index,
             )
             for index in range(workers)
@@ -162,12 +161,17 @@ class MappingService:
                 fingerprint[:16],
             )
             return record
-        record = self._serve_equivalent(
-            spec, graph, machine, space, config, fingerprint
+        class_key = self._class_key(spec, graph, machine, space, config)
+        if class_key is not None:
+            record = self._serve_equivalent(
+                spec, graph, machine, space, config, fingerprint, class_key
+            )
+            if record is not None:
+                return record
+        # The worker publishes the result under the same class key.
+        record = self.store.create(
+            spec.to_doc(), fingerprint, class_key=class_key
         )
-        if record is not None:
-            return record
-        record = self.store.create(spec.to_doc(), fingerprint)
         _LOG.info(
             "job %s: queued %s (fingerprint %s)",
             record.job_id,
@@ -176,27 +180,40 @@ class MappingService:
         )
         return record
 
+    def _class_key(self, spec, graph, machine, space, config) -> Optional[str]:
+        """An exact miss's workload class key, or ``None`` when it
+        fails: the submission then skips the equivalence lookup and
+        queues, and its worker tries the key again after the tune."""
+        from repro.service.fingerprint import workload_class_key
+
+        try:
+            return workload_class_key(
+                graph, machine, config, spec.start_mapping, space=space
+            )
+        except Exception as exc:  # noqa: BLE001 - equivalence is best-effort
+            _LOG.warning(
+                "%s: class key failed at submit (%s: %s); not looking "
+                "for an equivalent",
+                spec.label(),
+                type(exc).__name__,
+                exc,
+                exc_info=True,
+            )
+            self.metrics.counter("service.equiv.submit_errors").inc()
+            return None
+
     def _serve_equivalent(
-        self, spec, graph, machine, space, config, fingerprint
+        self, spec, graph, machine, space, config, fingerprint, class_key
     ) -> Optional[JobRecord]:
         """Serve an exact-miss submission from a provably-equivalent
         cached workload, if one exists — zero simulations, result bytes
         pulled back through the proof's relabeling, proof published
         beside the entry."""
         from repro.analysis.equivalence import Workload, pullback_result_doc
-        from repro.service.fingerprint import workload_class_key
         from repro.service.result import result_json_bytes
         from repro.service.spec import spec_json_bytes
 
-        try:
-            class_key = workload_class_key(
-                graph, machine, config, spec.start_mapping, space=space
-            )
-            target = Workload(
-                graph, machine, config, spec.start_mapping, space
-            )
-        except Exception:  # noqa: BLE001 - equivalence is best-effort
-            return None
+        target = Workload(graph, machine, config, spec.start_mapping, space)
         found = self.cache.lookup_equivalent(class_key, target, fingerprint)
         if found is None:
             return None
@@ -241,7 +258,10 @@ class MappingService:
 
     # ------------------------------------------------------------------
     def job_record(self, job_id: str) -> JobRecord:
-        record = self.store.get(job_id)
+        try:
+            record = self.store.get(job_id)
+        except CorruptJobRecord as exc:
+            raise ServiceError(500, str(exc)) from exc
         if record is None:
             raise ServiceError(404, f"no such job: {job_id}")
         return record
@@ -294,6 +314,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "automap-service/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket: ``_send`` writes the
+    #: headers and the body separately, and with Nagle's algorithm on
+    #: the body would wait for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> MappingService:

@@ -5,7 +5,15 @@ One or more daemon threads drain the job store FIFO: claim the oldest
 double-claim), run it through :class:`repro.core.AutoMapSession`
 (which drives the stateless engine with the full checkpoint/observability
 stack), publish the deterministic artifacts into the result cache, and
-mark the job ``done`` — or ``failed`` with the error message.
+mark the job ``done`` — or ``failed`` with the error message.  The cache
+entry is indexed under the class key the job carries from submit; only a
+job without one (written before keys were carried, or whose key failed
+at submit) computes it here.
+
+An idle worker sleeps on the store's ready condition
+(:meth:`repro.service.store.JobStore.wait_for_job`): queueing a job
+wakes one worker at once, and :meth:`JobWorker.stop` wakes it to exit.
+Nothing polls.
 
 Crash recovery is the whole point of the layering: the job's working
 directory lives inside the job directory, the engine checkpoints into it
@@ -63,7 +71,6 @@ class JobWorker(threading.Thread):
         store: JobStore,
         cache: ResultCache,
         metrics: Optional[MetricsRegistry] = None,
-        poll_interval: float = 0.05,
         index: int = 0,
     ) -> None:
         super().__init__(name=f"automap-job-worker-{index}", daemon=True)
@@ -71,21 +78,25 @@ class JobWorker(threading.Thread):
         self.store = store
         self.cache = cache
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.poll_interval = poll_interval
         # (named to dodge threading.Thread's private ``_stop`` method)
         self._stop_requested = threading.Event()
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
+        """Ask the worker to exit after its current job (at once when
+        idle)."""
         self._stop_requested.set()
+        self.store.wake_all()
 
     def run(self) -> None:  # pragma: no cover - exercised via service
-        while not self._stop_requested.is_set():
+        stopped = self._stop_requested.is_set
+        while True:
+            self.store.wait_for_job(stopped)
+            if stopped():
+                return
             record = self.store.claim_next()
-            if record is None:
-                self._stop_requested.wait(self.poll_interval)
-                continue
-            self.execute(record)
+            if record is not None:
+                self.execute(record)
 
     # ------------------------------------------------------------------
     def execute(self, record: JobRecord) -> JobRecord:
@@ -164,16 +175,9 @@ class JobWorker(threading.Thread):
         # The spec rides along so the near-equivalence prover can rebuild
         # this entry's workload as a candidate; the class key indexes it.
         files["spec.json"] = spec_json_bytes(spec)
-        try:
-            class_key = workload_class_key(
-                graph,
-                machine,
-                spec_config(spec),
-                spec.start_mapping,
-                space=space,
-            )
-        except Exception:  # noqa: BLE001 - class index is best-effort
-            class_key = None
+        class_key = record.class_key
+        if class_key is None:
+            class_key = self._class_key(record, spec, graph, machine, space)
         self.cache.put(record.fingerprint, files, class_key=class_key)
 
         self.metrics.counter("service.jobs.completed").inc()
@@ -187,3 +191,27 @@ class JobWorker(threading.Thread):
         return record.with_(
             state=JobState.DONE, simulations=report.simulations
         )
+
+    def _class_key(self, record, spec, graph, machine, space) -> Optional[str]:
+        """The class key of a job that did not carry one from submit, or
+        ``None`` when it fails: the entry is then published without an
+        equivalence index, so only exact resubmissions find it."""
+        try:
+            return workload_class_key(
+                graph,
+                machine,
+                spec_config(spec),
+                spec.start_mapping,
+                space=space,
+            )
+        except Exception as exc:  # noqa: BLE001 - the index is best-effort
+            _LOG.warning(
+                "job %s: class key failed (%s: %s); cached without an "
+                "equivalence index",
+                record.job_id,
+                type(exc).__name__,
+                exc,
+                exc_info=True,
+            )
+            self.metrics.counter("service.equiv.index_errors").inc()
+            return None

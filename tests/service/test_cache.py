@@ -74,3 +74,46 @@ class TestCounters:
         ResultCache(tmp_path, metrics=metrics).lookup(FP)
         text = to_prometheus_text(metrics)
         assert "automap_service_cache_misses 1.0" in text
+
+
+class TestEquivalentCandidates:
+    """A candidate that cannot be rebuilt or proved is skipped, logged
+    and counted."""
+
+    KEY = "c" * 64
+
+    def _cache_with(self, tmp_path, spec_bytes):
+        metrics = MetricsRegistry()
+        cache = ResultCache(tmp_path, metrics=metrics)
+        cache.put(
+            FP,
+            {"result.json": RESULT, "spec.json": spec_bytes},
+            class_key=self.KEY,
+        )
+        return cache, metrics
+
+    def test_unbuildable_candidate_is_counted(self, tmp_path, caplog):
+        cache, metrics = self._cache_with(tmp_path, b'{"app": "nope"}')
+        assert cache.lookup_equivalent(self.KEY, None, "b" * 64) is None
+        counters = metrics.as_dict()["counters"]
+        assert counters["service.equiv.candidate_errors"] == 1
+        assert "ValueError" in caplog.text
+
+    def test_failed_proof_is_counted(self, tmp_path, monkeypatch, caplog):
+        import repro.analysis.equivalence
+        from repro.service.spec import JobSpec, spec_json_bytes
+
+        def fail(source, target):
+            raise RuntimeError("prover unavailable")
+
+        monkeypatch.setattr(
+            repro.analysis.equivalence, "prove_equivalent", fail
+        )
+        spec = JobSpec.from_doc(
+            {"app": "forkjoin", "gen_params": {"width": 2, "iterations": 1}}
+        )
+        cache, metrics = self._cache_with(tmp_path, spec_json_bytes(spec))
+        assert cache.lookup_equivalent(self.KEY, None, "b" * 64) is None
+        counters = metrics.as_dict()["counters"]
+        assert counters["service.equiv.candidate_errors"] == 1
+        assert "RuntimeError" in caplog.text

@@ -48,7 +48,7 @@ def _inflated_caps(extra=GIB):
 
 class TestEquivalentServing:
     def test_slack_submission_served_with_zero_simulations(self, tmp_path):
-        service = MappingService(tmp_path / "a", poll_interval=0.01)
+        service = MappingService(tmp_path / "a")
         service.start()
         try:
             first = service.submit(dict(BASE))
@@ -68,7 +68,7 @@ class TestEquivalentServing:
 
         # Byte-identity against a genuinely fresh run of the inflated
         # workload in a clean service root.
-        fresh_service = MappingService(tmp_path / "b", poll_interval=0.01)
+        fresh_service = MappingService(tmp_path / "b")
         fresh_service.start()
         try:
             fresh = service_record = fresh_service.submit(spec)
@@ -80,7 +80,7 @@ class TestEquivalentServing:
         assert served == fresh_bytes
 
     def test_rename_served_with_pullback(self, tmp_path):
-        service = MappingService(tmp_path / "s", poll_interval=0.01)
+        service = MappingService(tmp_path / "s")
         service.start()
         try:
             first = service.submit(dict(BASE))
@@ -111,7 +111,7 @@ class TestEquivalentServing:
             service.stop()
 
     def test_inequivalent_submission_queues_normally(self, tmp_path):
-        service = MappingService(tmp_path / "s", poll_interval=0.01)
+        service = MappingService(tmp_path / "s")
         service.start()
         try:
             first = service.submit(dict(BASE))
@@ -127,7 +127,7 @@ class TestEquivalentServing:
             service.stop()
 
     def test_cache_doc_lists_equiv_entries(self, tmp_path):
-        service = MappingService(tmp_path / "s", poll_interval=0.01)
+        service = MappingService(tmp_path / "s")
         service.start()
         try:
             first = service.submit(dict(BASE))
@@ -178,9 +178,7 @@ class TestMultiWorker:
         )
 
     def test_two_worker_service_completes_distinct_jobs(self, tmp_path):
-        service = MappingService(
-            tmp_path / "s", poll_interval=0.01, workers=2
-        )
+        service = MappingService(tmp_path / "s", workers=2)
         assert len(service.workers) == 2
         assert service.worker is service.workers[0]
         assert service.workers[0].name != service.workers[1].name
@@ -197,3 +195,49 @@ class TestMultiWorker:
             assert record.state is JobState.DONE
             assert record.attempts == 1
             assert record.simulations > 0
+
+
+def _recomputed_class_key(record):
+    from repro.service.fingerprint import spec_config, workload_class_key
+    from repro.service.spec import JobSpec
+
+    spec = JobSpec.from_doc(record.spec_doc)
+    _, graph, machine, space = spec.build()
+    return workload_class_key(
+        graph, machine, spec_config(spec), spec.start_mapping, space=space
+    )
+
+
+class TestClassKeyHandoff:
+    def test_worker_publishes_under_submit_key(self, tmp_path, monkeypatch):
+        import repro.service.worker
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the worker recomputed the class key")
+
+        monkeypatch.setattr(repro.service.worker, "workload_class_key", fail)
+        service = MappingService(tmp_path / "s")
+        record = service.submit(dict(BASE))
+        assert record.class_key == _recomputed_class_key(record)
+        # Persisted, so a restarted service still has it.
+        restarted = MappingService(tmp_path / "s")
+        assert restarted.store.get(record.job_id).class_key == record.class_key
+
+        finished = restarted.worker.execute(restarted.store.claim_next())
+        assert finished.state is JobState.DONE
+        assert finished.class_key == record.class_key
+        published = restarted.cache.entry_class(record.fingerprint)
+        assert published == record.class_key
+        counters = restarted.metrics.as_dict()["counters"]
+        assert "service.equiv.index_errors" not in counters
+
+    def test_record_without_a_key_is_keyed_by_the_worker(self, tmp_path):
+        service = MappingService(tmp_path / "s")
+        record = service.submit(dict(BASE))
+        # A record written before class keys were carried.
+        service.store.update(record.with_(class_key=None))
+        claimed = service.store.claim_next()
+        assert claimed.class_key is None
+        assert service.worker.execute(claimed).state is JobState.DONE
+        expected = _recomputed_class_key(record)
+        assert service.cache.entry_class(record.fingerprint) == expected

@@ -3,6 +3,7 @@ fetch artifacts, and hit the cache on resubmission."""
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import socket
@@ -15,8 +16,9 @@ import urllib.request
 import pytest
 
 from repro.mapping.io import mapping_to_doc
-from repro.service import JobSpec, MappingService, make_server
-from repro.service.http import MAX_BODY_BYTES
+from repro.service import JobSpec, JobState, MappingService, make_server
+from repro.service.http import MAX_BODY_BYTES, _Handler
+from repro.service.store import JOB_FILENAME
 
 SPEC = {"app": "stencil", "max_suggestions": 40, "checkpoint_every": 1}
 
@@ -298,3 +300,115 @@ class TestErrorPaths:
     def test_unknown_endpoint_is_404(self, service_url):
         status, doc = _get(f"{service_url}/nope")
         assert status == 404
+
+
+@contextlib.contextmanager
+def _serving(service):
+    """Serve ``service`` on an ephemeral port with its workers running;
+    yields the base URL."""
+    server = make_server(service, port=0)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    service.start()
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.stop()
+        thread.join(5)
+
+
+class TestRequestPath:
+    def test_accepted_sockets_disable_nagle(self, service_url, monkeypatch):
+        """Replies leave without waiting on the client's delayed ACK."""
+        nodelay = []
+        stdlib_setup = _Handler.setup
+
+        def setup(handler):
+            stdlib_setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(_Handler, "setup", setup)
+        status, _ = _get(f"{service_url}/healthz")
+        assert status == 200
+        assert nodelay and all(nodelay)
+
+    def test_idle_workers_sleep_and_stop(self, tmp_path, monkeypatch):
+        """Idle workers wait on the queue instead of polling it, and
+        stop() wakes them to exit."""
+        from repro.service.store import JobStore
+
+        claims = []
+        claim_next = JobStore.claim_next
+
+        def counting_claim(store):
+            claims.append(1)
+            return claim_next(store)
+
+        monkeypatch.setattr(JobStore, "claim_next", counting_claim)
+        service = MappingService(tmp_path / "state", workers=2)
+        service.start()
+        service.stop()
+        for worker in service.workers:
+            worker.join(5)
+            assert not worker.is_alive()
+        assert claims == []
+
+
+class TestCorruptRecords:
+    def test_restart_past_a_truncated_record(self, tmp_path):
+        from repro.service.store import QUARANTINE_SUFFIX
+
+        root = tmp_path / "state"
+        before = MappingService(root)
+        done = before.store.create(dict(SPEC), "0" * 64, state=JobState.DONE)
+        queued = before.submit(dict(SPEC))
+        path = before.store.job_dir(done.job_id) / JOB_FILENAME
+        bad = path.read_bytes()[:40]
+        path.write_bytes(bad)
+
+        with _serving(MappingService(root)) as url:
+            finished = _await_done(url, queued.job_id)
+            assert finished["state"] == "done"
+            status, text = _get(f"{url}/metrics", raw=True)
+            assert status == 200
+            assert "automap_service_jobs_quarantined 1.0" in text.decode()
+            status, listing = _get(f"{url}/jobs")
+            assert status == 200
+            assert [j["job_id"] for j in listing["jobs"]] == [queued.job_id]
+            status, doc = _get(f"{url}/jobs/{done.job_id}")
+            assert status == 500
+            assert "quarantined" in doc["error"]
+        quarantined = path.with_name(JOB_FILENAME + QUARANTINE_SUFFIX)
+        assert quarantined.read_bytes() == bad
+
+
+class TestEquivalenceFallbacks:
+    def test_class_key_failure_is_counted(self, tmp_path, monkeypatch):
+        import repro.service.fingerprint
+        import repro.service.worker
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("class key unavailable")
+
+        for module in (repro.service.fingerprint, repro.service.worker):
+            monkeypatch.setattr(module, "workload_class_key", fail)
+        service = MappingService(tmp_path / "state")
+        with _serving(service) as url:
+            status, submitted = _post(f"{url}/jobs", SPEC)
+            assert status == 201
+            finished = _await_done(url, submitted["job_id"])
+        assert finished["state"] == "done"
+        counters = service.metrics.as_dict()["counters"]
+        assert counters["service.equiv.submit_errors"] == 1
+        assert counters["service.equiv.index_errors"] == 1
+        assert finished["class_key"] is None
+        # Published, but without an equivalence index.
+        assert service.cache.contains(submitted["fingerprint"])
+        assert service.cache.entry_class(submitted["fingerprint"]) is None
