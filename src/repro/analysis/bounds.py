@@ -12,8 +12,9 @@ makespan from four independently-sound components,
   serialisation factor ``ceil(points-per-node / pool-size)``;
 * **load** — for every concrete processor, the total best-case busy
   time of the point tasks round-robin placement provably assigns to it;
-* **communication** — the mandatory transfers of a write-authority
-  dataflow mirror of the coherence layer, priced two ways and combined
+* **communication** — the mandatory transfers of the coherence layer
+  (the runtime's own :class:`~repro.runtime.instances.SegmentMap`,
+  walked in executor order), priced two ways and combined
   with ``max``: *routed* per-channel congestion (each transfer is routed
   over the executor's own channel path via
   :mod:`repro.analysis.routing`, and every channel's bytes are divided
@@ -27,7 +28,7 @@ makespan from four independently-sound components,
   order, every point task is reserved on its exact processor timeline
   (the placer mirror names the concrete processor, so durations use the
   exact link and throughput arithmetic), and every mandatory transfer
-  of the flow mirror is routed hop-by-hop over the executor's channel
+  of the flow walk is routed hop-by-hop over the executor's channel
   paths against mirrored per-channel timelines.  The mirror performs a
   subset of the executor's events (virgin-data copies are missing,
   coalesced writes can merge copy fragments) in the same processing
@@ -56,9 +57,9 @@ oracle can skip its simulation without changing any search decision.
 Soundness is deliberately conservative where the runtime is subtle:
 
 * virgin (never-written) data is materialised for free in its first
-  reader's memory, exactly like the executor's ``plan_read`` — the
-  resulting copies are order-dependent, which is sound to mirror only
-  because the flow walk replays reads in the executor's own
+  reader's memory by ``plan_read``, which the walk shares with the
+  executor — the resulting copies are order-dependent, which is sound
+  only because the flow walk replays reads in the executor's own
   (launch, point, slot) processing order;
 * copy latencies, store-and-forward hops, and through-traffic on a
   memory's channels are ignored (they only add real time);
@@ -68,7 +69,6 @@ Soundness is deliberately conservative where the runtime is subtle:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -79,6 +79,7 @@ from repro.machine.model import Machine
 from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
 from repro.runtime.copies import DMA_EFFICIENCY
+from repro.runtime.instances import CoherenceState
 from repro.runtime.placement import Placer
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.task import TaskLaunch
@@ -145,174 +146,21 @@ class BoundBreakdown:
         )
 
 
-class _FlowSegment:
-    """One written byte range of a root: its authoritative memory (with
-    the lower-bound time the write became visible) and the memories
-    holding a still-valid read replica (with their commit times)."""
-
-    __slots__ = ("lo", "hi", "mem", "time", "caches")
-
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        mem: str,
-        time: float,
-        caches: Dict[str, float],
-    ) -> None:
-        self.lo = lo
-        self.hi = hi
-        self.mem = mem
-        self.time = time
-        self.caches = caches
-
-
-class _FlowMap:
-    """A mirror of the coherence layer's segment map
-    (:class:`repro.runtime.instances.SegmentMap`).
-
-    Authority is created by explicit task writes *and* by virgin-data
-    materialisation: like ``plan_read``, reading a never-written range
-    grants the first reader's memory free authority over it, and later
-    readers elsewhere must copy from that memory.  Which memory wins is
-    read-order dependent — mirroring it is only sound because the bound
-    walk replays reads in exactly the executor's (launch, point, slot)
-    processing order, so the mirror reproduces the executor's copy set
-    (same sources, same destinations; write coalescing can only merge
-    adjacent fragments, dropping hop latencies).  Times carried on
-    authorities and replicas are lower bounds on the executor's own, so
-    the schedule replay can reuse them as copy floors and
-    local-readiness terms.
-
-    The segment list is kept sorted by ``lo`` and non-overlapping, so
-    every operation locates its range by bisection instead of scanning.
-    """
-
-    __slots__ = ("_segments", "_los")
-
-    def __init__(self) -> None:
-        self._segments: List[_FlowSegment] = []
-        #: Parallel list of segment ``lo`` offsets for bisection.
-        self._los: List[int] = []
-
-    def _split_at(self, pos: int) -> None:
-        i = bisect_right(self._los, pos) - 1
-        if i >= 0:
-            seg = self._segments[i]
-            if seg.lo < pos < seg.hi:
-                right = _FlowSegment(
-                    pos, seg.hi, seg.mem, seg.time, dict(seg.caches)
-                )
-                seg.hi = pos
-                self._segments.insert(i + 1, right)
-                self._los.insert(i + 1, pos)
-
-    def write(self, lo: int, hi: int, mem: str, time: float = 0.0) -> None:
-        """Authority for ``[lo, hi)`` moves to ``mem`` (visible at
-        ``time``); replicas die."""
-        if hi <= lo:
-            return
-        self._split_at(lo)
-        self._split_at(hi)
-        # After splitting, every overlapping segment is contained.
-        i = bisect_left(self._los, lo)
-        j = i
-        n = len(self._segments)
-        while j < n and self._segments[j].lo < hi:
-            j += 1
-        self._segments[i:j] = [_FlowSegment(lo, hi, mem, time, {})]
-        self._los[i:j] = [lo]
-
-    def read(
-        self, lo: int, hi: int, dst: str
-    ) -> Tuple[float, List[Tuple[str, int, int, float]]]:
-        """What it takes to read ``[lo, hi)`` in ``dst``.
-
-        Returns ``(local_ready, pieces)``: the latest availability among
-        parts already valid in ``dst`` and the transfers ``(src_mem, lo,
-        hi, src_time)`` still required — the planner mirror of
-        ``SegmentMap.plan_read``, including its virgin-gap rule: ranges
-        no segment covers are materialised in ``dst`` for free.  Copy
-        replicas are recorded separately via :meth:`commit` once the
-        copy has a finish time.
-        """
-        if hi <= lo:
-            return 0.0, []
-        self._split_at(lo)
-        self._split_at(hi)
-        local = 0.0
-        pieces: List[Tuple[str, int, int, float]] = []
-        overlapping: List[_FlowSegment] = []
-        i = bisect_left(self._los, lo)
-        n = len(self._segments)
-        while i < n:
-            seg = self._segments[i]
-            if seg.lo >= hi:
-                break
-            # After splitting, every overlapping segment is contained.
-            overlapping.append(seg)
-            i += 1
-        covered = lo
-        for seg in overlapping:
-            if seg.lo > covered:
-                # Virgin gap: materialise in dst for free (the writes
-                # insert into ranges disjoint from every overlapping
-                # segment, so the snapshot above stays valid).
-                self.write(covered, seg.lo, dst, 0.0)
-            covered = max(covered, seg.hi)
-            if seg.mem == dst:
-                if seg.time > local:
-                    local = seg.time
-            elif dst in seg.caches:
-                cached = seg.caches[dst]
-                if cached > local:
-                    local = cached
-            else:
-                pieces.append((seg.mem, seg.lo, seg.hi, seg.time))
-        if covered < hi:
-            self.write(covered, hi, dst, 0.0)
-        return local, pieces
-
-    def commit(self, lo: int, hi: int, mem: str, time: float) -> None:
-        """Record that ``[lo, hi)`` has a valid replica in ``mem`` as of
-        ``time`` (after a mirrored copy completed)."""
-        if hi <= lo:
-            return
-        self._split_at(lo)
-        self._split_at(hi)
-        i = bisect_left(self._los, lo)
-        n = len(self._segments)
-        while i < n:
-            seg = self._segments[i]
-            if seg.lo >= hi:
-                break
-            seg.caches[mem] = time
-            i += 1
-
-    def clone(self) -> "_FlowMap":
-        copy = _FlowMap.__new__(_FlowMap)
-        copy._segments = [
-            _FlowSegment(s.lo, s.hi, s.mem, s.time, dict(s.caches))
-            for s in self._segments
-        ]
-        copy._los = list(self._los)
-        return copy
-
-
 class _CommState:
-    """Accumulated flow-walk state: per-root flow maps, the integer
-    traffic tally, and the schedule-replay timelines (per-launch finish
-    floors, per-processor and per-channel ``free_at`` mirrors).
-    The walk state is a deterministic function of the mapping prefix it
-    consumed, so any prefix/suffix recomposition of the walk reproduces
-    the same final state bit-for-bit.
+    """Accumulated flow-walk state: the coherence layer's own per-root
+    segment maps, the integer traffic tally, and the schedule-replay
+    timelines (per-launch finish floors, per-processor and per-channel
+    ``free_at`` mirrors).  The walk state is a deterministic function of
+    the mapping prefix it consumed, so any prefix/suffix recomposition
+    of the walk reproduces the same final state bit-for-bit.
 
-    Snapshots are copy-on-write: :meth:`clone` shares the flow maps, and
-    the walk clones a root's map the first time it touches it after a
-    snapshot or restore, so a snapshot is never mutated."""
+    Snapshots are copy-on-write: :meth:`clone` relies on
+    :meth:`CoherenceState.clone`, which shares the segment maps and
+    clones a root's map on its first access after the snapshot, so a
+    snapshot is never mutated."""
 
     __slots__ = (
-        "flows",
+        "coherence",
         "tally",
         "finish",
         "proc_free",
@@ -320,7 +168,7 @@ class _CommState:
     )
 
     def __init__(self) -> None:
-        self.flows: Dict[str, _FlowMap] = {}
+        self.coherence = CoherenceState()
         #: (src mem uid, dst mem uid, root, consumer kind) -> bytes; the
         #: per-memory, per-pair and per-edge totals are summed from it.
         self.tally: Dict[Tuple[str, str, str, str], int] = {}
@@ -333,7 +181,7 @@ class _CommState:
 
     def clone(self) -> "_CommState":
         copy = _CommState.__new__(_CommState)
-        copy.flows = dict(self.flows)
+        copy.coherence = self.coherence.clone()
         copy.tally = dict(self.tally)
         copy.finish = dict(self.finish)
         copy.proc_free = dict(self.proc_free)
@@ -731,8 +579,8 @@ class StaticBoundAnalyzer:
     ) -> List[Tuple[str, int, int, str]]:
         """Union a launch's write ops per ``(root, mem)``.
 
-        The flow map tracks untimed authority and integer byte totals,
-        so when no byte of a root is written to two different memories
+        The flow walk tallies integer byte totals per authority, so
+        when no byte of a root is written to two different memories
         within one launch (the disjoint-shard case), applying the
         per-``(root, mem)`` unions leaves the final flow state — and
         every later tally — unchanged while the op count drops from one
@@ -773,7 +621,7 @@ class StaticBoundAnalyzer:
         executor's hop path, reserving each hop on the mirrored channel
         timelines.  Returns the copy's lower-bound finish time."""
         hops = self._routing.hops(src, dst)
-        time = max(ready, src_time)
+        time = src_time if src_time > ready else ready
         if not hops:
             return time
         for key, latency, dma_bandwidth in hops:
@@ -798,7 +646,7 @@ class StaticBoundAnalyzer:
         """Mandatory-traffic and routed-schedule bounds: walks the
         launches once in executor order, mirroring its list schedule
         (processor reservations, routed channel-contended copies) while
-        tallying the flow mirror's traffic; returns ``(bound, incident,
+        tallying the flow walk's traffic; returns ``(bound, incident,
         memory, edge, edge_bytes, channel, channel_share, schedule)``.
         """
         order = self._order
@@ -832,11 +680,7 @@ class StaticBoundAnalyzer:
         }
         snapshots = self._comm_snapshots
         boundaries = self._comm_boundaries
-        flows = state.flows
-        #: The flow maps this walk owns (cloned or created since the last
-        #: snapshot or restore); every other map in ``flows`` is shared
-        #: with a snapshot and is cloned before its first mutation.
-        owned: Dict[str, _FlowMap] = {}
+        root_of = state.coherence.root
         tally = state.tally
         finish = state.finish
         proc_free = state.proc_free
@@ -845,7 +689,6 @@ class StaticBoundAnalyzer:
         for launch_index in range(start, len(order)):
             if launch_index in boundaries and launch_index not in snapshots:
                 snapshots[launch_index] = state.clone()
-                owned = {}
             launch = order[launch_index]
             kind_name = launch.kind.name
             decision = mapping.decision(kind_name)
@@ -863,16 +706,14 @@ class StaticBoundAnalyzer:
             points, write_ops = ops
             launch_finish = 0.0
             # Points in placement order, exactly like the executor: plan
-            # the point's copies against the flow mirror, route them over
-            # the mirrored channel timelines, then reserve the point on
-            # its processor's mirrored timeline.
+            # the point's copies on the coherence layer's segment maps,
+            # route them over the mirrored channel timelines, then
+            # reserve the point on its processor's mirrored timeline.
             for proc_uid, duration, reads in points:
                 data_ready = ready
                 for root, dst, lo, hi in reads:
-                    flow = owned.get(root)
-                    if flow is None:
-                        flow = _own_flow(flows, owned, root)
-                    local, pieces = flow.read(lo, hi, dst)
+                    seg_map = root_of(root)
+                    local, pieces = seg_map.plan_read(lo, hi, dst)
                     if local > data_ready:
                         data_ready = local
                     for src, p_lo, p_hi, src_time in pieces:
@@ -882,7 +723,7 @@ class StaticBoundAnalyzer:
                         done = self._replay_copy(
                             chan_free, src, dst, nbytes, ready, src_time
                         )
-                        flow.commit(p_lo, p_hi, dst, done)
+                        seg_map.commit_cache(p_lo, p_hi, dst, done)
                         if done > data_ready:
                             data_ready = done
                 free = proc_free.get(proc_uid, 0.0)
@@ -893,10 +734,7 @@ class StaticBoundAnalyzer:
                     launch_finish = point_finish
             # Writes commit after the whole group, in (point, slot) order.
             for root, lo, hi, mem in write_ops:
-                flow = owned.get(root)
-                if flow is None:
-                    flow = _own_flow(flows, owned, root)
-                flow.write(lo, hi, mem, launch_finish)
+                root_of(root).write(lo, hi, mem, launch_finish)
             finish[launch.uid] = launch_finish
 
         end = len(order)
@@ -1220,18 +1058,6 @@ def bound_guided_mapping(space, analyzer: StaticBoundAnalyzer) -> Mapping:
     except MappingError:  # pragma: no cover - defensive fallback
         return space.default_mapping()
     return mapping
-
-
-def _own_flow(
-    flows: Dict[str, _FlowMap], owned: Dict[str, _FlowMap], root: str
-) -> _FlowMap:
-    """Give the walk its own copy of ``root``'s flow map (a fresh one if
-    the root was never touched): the map in ``flows`` may be shared with
-    a snapshot, which must never change."""
-    shared = flows.get(root)
-    flow = shared.clone() if shared is not None else _FlowMap()
-    flows[root] = owned[root] = flow
-    return flow
 
 
 def _coalesce(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:

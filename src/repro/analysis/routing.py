@@ -11,11 +11,13 @@ to the analyzer:
   built from the same machine the simulator uses, so the channel
   sequence it reports for a ``(src, dst)`` memory pair is *exactly* the
   sequence :class:`repro.runtime.copies.CopyEngine` reserves when it
-  executes that copy.  Each hop is identified by the engine's serial
-  timeline key (``chan:{a}<->{b}`` with sorted endpoints), which is what
-  makes the per-channel congestion bound sound: the executor serialises
-  all traffic through one key on one timeline, so the simulated makespan
-  is at least the busy time of the busiest channel.
+  executes that copy.  Its hops come from the engine's own
+  :class:`repro.runtime.copies.HopTable`, so each hop carries the
+  engine's serial timeline key (:func:`repro.runtime.copies.channel_key`),
+  which is what makes the per-channel congestion bound sound: the
+  executor serialises all traffic through one key on one timeline, so
+  the simulated makespan is at least the busy time of the busiest
+  channel.
 * :func:`routing_model` caches one model per live machine object —
   analyses along a search chain hit the same machine thousands of
   times, and path computation dominates a cold analyzer otherwise.
@@ -33,24 +35,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.diagnostics import Diagnostic, Span
 from repro.machine.model import Machine
 from repro.machine.topology import Topology
-from repro.runtime.copies import DMA_EFFICIENCY
+from repro.runtime.copies import Hop, HopTable, channel_key
 
 __all__ = ["RoutingModel", "channel_key", "routing_model"]
-
-#: One copy-path hop: (channel timeline key, latency, DMA bandwidth).
-Hop = Tuple[str, float, float]
-
-
-def channel_key(mem_a: str, mem_b: str) -> str:
-    """The copy engine's serial timeline key for a channel.
-
-    Must stay in lock-step with
-    :meth:`repro.runtime.copies.CopyEngine._channel_key` — the soundness
-    of the per-channel congestion bound rests on bytes being attributed
-    to the same serially-reused timeline the executor reserves.
-    """
-    a, b = sorted((mem_a, mem_b))
-    return f"chan:{a}<->{b}"
 
 
 class RoutingModel:
@@ -71,9 +58,7 @@ class RoutingModel:
             self._bandwidth[channel_key(chan.mem_a, chan.mem_b)] = (
                 chan.bandwidth
             )
-        #: (src mem uid, dst mem uid) -> per-hop (key, latency, DMA
-        #: bandwidth), or ``None`` when the pair is disconnected.
-        self._hops: Dict[Tuple[str, str], Optional[Tuple[Hop, ...]]] = {}
+        self._hops = HopTable(self.topology)
 
     def route(self, src_uid: str, dst_uid: str) -> Optional[Tuple[str, ...]]:
         """Channel timeline keys a copy from ``src`` to ``dst`` crosses.
@@ -96,24 +81,7 @@ class RoutingModel:
         engine's duration floats.  Empty when source equals destination,
         ``None`` when no channel path exists.
         """
-        key = (src_uid, dst_uid)
-        cached = self._hops.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        path = self.topology.copy_path(src_uid, dst_uid)
-        if path is None:
-            resolved: Optional[Tuple[Hop, ...]] = None
-        else:
-            resolved = tuple(
-                (
-                    channel_key(hop.mem_a, hop.mem_b),
-                    hop.latency,
-                    hop.bandwidth * DMA_EFFICIENCY,
-                )
-                for hop in path.hops
-            )
-        self._hops[key] = resolved
-        return resolved
+        return self._hops.hops(src_uid, dst_uid)
 
     def channel_bandwidth(self, key: str) -> Optional[float]:
         """Raw bandwidth of the channel behind a timeline key."""
@@ -144,9 +112,6 @@ class RoutingModel:
             for src, dst in self.unreachable_pairs()
         ]
 
-
-#: Sentinel distinguishing "not cached" from a cached ``None`` route.
-_MISSING = object()
 
 #: Per-machine model cache, keyed by object identity (``Machine`` is an
 #: eq-comparable dataclass and therefore unhashable).  Entries whose

@@ -11,7 +11,7 @@ mapping trade-offs live.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.machine.topology import Topology
 from repro.runtime.events import TimelinePool
@@ -20,7 +20,13 @@ from repro.runtime.instances import CopyNeed
 if TYPE_CHECKING:  # recorder is optional observability plumbing
     from repro.obs.trace import TraceRecorder
 
-__all__ = ["CopyStats", "CopyEngine", "DMA_EFFICIENCY"]
+__all__ = [
+    "CopyStats",
+    "CopyEngine",
+    "DMA_EFFICIENCY",
+    "HopTable",
+    "channel_key",
+]
 
 #: Fraction of a channel's link bandwidth a runtime-issued DMA copy
 #: sustains (descriptor setup, strided field layouts, synchronisation).
@@ -28,6 +34,59 @@ __all__ = ["CopyStats", "CopyEngine", "DMA_EFFICIENCY"]
 #: placing shared data in Zero-Copy can beat producing into Frame-Buffer
 #: and copying — the §4.2 trade-off.
 DMA_EFFICIENCY = 0.7
+
+#: One copy-path hop: (channel timeline key, latency, DMA bandwidth).
+Hop = Tuple[str, float, float]
+
+
+def channel_key(mem_a: str, mem_b: str) -> str:
+    """The serial timeline key of the channel between two memories
+    (orientation-independent): every copy crossing the channel reserves
+    this one timeline."""
+    a, b = sorted((mem_a, mem_b))
+    return f"chan:{a}<->{b}"
+
+
+class HopTable:
+    """The copy paths of one :class:`Topology`, per hop.
+
+    Each ``(src, dst)`` pair is resolved once into ``(channel key,
+    latency, bandwidth * DMA_EFFICIENCY)`` tuples in path order and kept
+    as long as the table, which its owner keeps as long as the topology.
+    """
+
+    __slots__ = ("topology", "_hops")
+
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        self._hops: Dict[Tuple[str, str], Optional[Tuple[Hop, ...]]] = {}
+
+    def hops(self, src_uid: str, dst_uid: str) -> Optional[Tuple[Hop, ...]]:
+        """Per-hop ``(channel key, latency, DMA bandwidth)`` from ``src``
+        to ``dst``: empty when source equals destination, ``None`` when
+        no channel path exists."""
+        key = (src_uid, dst_uid)
+        cached = self._hops.get(key, _MISSING)
+        if cached is not _MISSING:
+            return cached
+        path = self.topology.copy_path(src_uid, dst_uid)
+        if path is None:
+            resolved: Optional[Tuple[Hop, ...]] = None
+        else:
+            resolved = tuple(
+                (
+                    channel_key(hop.mem_a, hop.mem_b),
+                    hop.latency,
+                    hop.bandwidth * DMA_EFFICIENCY,
+                )
+                for hop in path.hops
+            )
+        self._hops[key] = resolved
+        return resolved
+
+
+#: Sentinel distinguishing "not cached" from a cached ``None`` path.
+_MISSING = object()
 
 
 @dataclass
@@ -57,23 +116,18 @@ class CopyEngine:
 
     def __init__(
         self,
-        topology: Topology,
+        hops: HopTable,
         channels: TimelinePool,
         recorder: Optional["TraceRecorder"] = None,
         stats: Optional[CopyStats] = None,
     ) -> None:
-        self._topology = topology
-        self._channels = channels
+        self._hops = hops.hops
+        self._reserve = channels.reserve
         # ``stats`` lets the incremental engine resume accumulation from
         # a snapshot instead of starting a fresh tally.
         self.stats = stats if stats is not None else CopyStats()
         #: Optional span recorder (observational only; ``None`` = off).
         self.recorder = recorder
-
-    @staticmethod
-    def _channel_key(mem_a: str, mem_b: str) -> str:
-        a, b = sorted((mem_a, mem_b))
-        return f"chan:{a}<->{b}"
 
     def execute(self, need: CopyNeed, dst_mem: str, ready: float) -> float:
         """Perform one copy; returns its finish time.
@@ -83,31 +137,22 @@ class CopyEngine:
         the routed path is a serially-reusable resource; hops are chained
         store-and-forward.
         """
-        path = self._topology.copy_path(need.src_mem, dst_mem)
-        if path is None:
-            raise ValueError(
-                f"no channel path from {need.src_mem} to {dst_mem}"
-            )
-        start_floor = max(ready, need.src_time)
-        if not path.hops:
-            return start_floor
-        time = start_floor
+        src_mem, lo, hi, src_time = need
+        hops = self._hops(src_mem, dst_mem)
+        if hops is None:
+            raise ValueError(f"no channel path from {src_mem} to {dst_mem}")
+        time = src_time if src_time > ready else ready
+        if not hops:
+            return time
+        nbytes = hi - lo
+        reserve = self._reserve
+        recorder = self.recorder
         total_duration = 0.0
-        for hop in path.hops:
-            duration = hop.latency + need.nbytes / (
-                hop.bandwidth * DMA_EFFICIENCY
-            )
-            key = self._channel_key(hop.mem_a, hop.mem_b)
-            hop_start, time = self._channels.reserve(key, time, duration)
-            if self.recorder is not None:
-                self.recorder.record_copy(
-                    key,
-                    need.src_mem,
-                    dst_mem,
-                    hop_start,
-                    duration,
-                    need.nbytes,
-                )
+        for key, latency, dma_bandwidth in hops:
+            duration = latency + nbytes / dma_bandwidth
+            hop_start, time = reserve(key, time, duration)
+            if recorder is not None:
+                recorder.record_copy(key, src_mem, dst_mem, hop_start, duration, nbytes)
             total_duration += duration
-        self.stats.record(need.nbytes, total_duration)
+        self.stats.record(nbytes, total_duration)
         return time

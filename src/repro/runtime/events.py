@@ -36,7 +36,8 @@ class ResourceTimeline:
         ``ready``; returns ``(start, finish)``."""
         if duration < 0:
             raise ValueError(f"{self.name}: negative duration")
-        start = max(ready, self.free_at)
+        free = self.free_at
+        start = free if free > ready else ready
         finish = start + duration
         self.free_at = finish
         self.busy_time += duration
@@ -73,7 +74,10 @@ class TimelinePool:
         return timeline
 
     def reserve(self, name: str, ready: float, duration: float) -> Tuple[float, float]:
-        return self.get(name).reserve(ready, duration)
+        timeline = self._timelines.get(name)
+        if timeline is None:
+            timeline = self._timelines[name] = ResourceTimeline(name)
+        return timeline.reserve(ready, duration)
 
     def free_at(self, name: str) -> float:
         timeline = self._timelines.get(name)

@@ -30,7 +30,7 @@ from repro.machine.kinds import ProcKind
 from repro.machine.model import Machine
 from repro.machine.topology import Topology
 from repro.mapping.mapping import Mapping
-from repro.runtime.copies import CopyEngine, CopyStats
+from repro.runtime.copies import CopyEngine, CopyStats, HopTable
 from repro.runtime.events import TimelinePool
 from repro.runtime.instances import CoherenceState
 from repro.runtime.placement import Placer
@@ -76,6 +76,7 @@ class Executor:
         self.machine = machine
         self.placer = Placer(machine)
         self.topology = Topology(machine)
+        self.hops = HopTable(self.topology)
         self._order = graph.topological_order()
 
     # ------------------------------------------------------------------
@@ -94,7 +95,7 @@ class Executor:
         """
         procs = TimelinePool()
         channels = TimelinePool()
-        copy_engine = CopyEngine(self.topology, channels, recorder=recorder)
+        copy_engine = CopyEngine(self.hops, channels, recorder=recorder)
         coherence = CoherenceState()
         finish: Dict[str, float] = {}
         kind_busy: Dict[str, float] = {}

@@ -22,7 +22,9 @@ that in two layered ways:
    processed in a fixed topological order, and the state before index
    ``i`` depends only on the decisions of launches ``< i``), so the
    engine restores the deepest snapshot at-or-before the dirty index
-   and re-simulates only the suffix.
+   and re-simulates only the suffix.  Snapshots copy the timelines and
+   tallies but share the coherence state copy-on-write
+   (:meth:`~repro.runtime.instances.CoherenceState.clone`).
 
 **Byte-identity contract.**  The engine reproduces
 :meth:`repro.runtime.executor.Executor.run` exactly:
@@ -53,7 +55,7 @@ from repro.machine.model import Machine
 from repro.machine.topology import Topology
 from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
-from repro.runtime.copies import CopyEngine, CopyStats
+from repro.runtime.copies import CopyEngine, CopyStats, HopTable
 from repro.runtime.events import TimelinePool
 from repro.runtime.executor import ExecutionReport
 from repro.runtime.instances import CoherenceState
@@ -332,10 +334,15 @@ class IncrementalEngine:
     ) -> None:
         self.graph = graph
         self.machine = machine
-        self.topology = Topology(machine)
+        self.hops = HopTable(Topology(machine))
         self.stats = stats if stats is not None else IncrementalStats()
         self.costs = LaunchCostCache(graph, machine, stats=self.stats)
         self._order = graph.topological_order()
+        #: Per launch index, the uids of its dependence predecessors.
+        self._preds: List[Tuple[str, ...]] = [
+            tuple(dep.src for dep in graph.predecessors(launch.uid))
+            for launch in self._order
+        ]
         # First launch index of each kind: state before that index can
         # only depend on *other* kinds' decisions... and earlier ones.
         self._first_index: Dict[str, int] = {}
@@ -404,12 +411,12 @@ class IncrementalEngine:
             if index <= dirty
         }
 
-        copy_engine = CopyEngine(
-            self.topology, state.channels, stats=state.copy_stats
-        )
-        graph = self.graph
-        coherence = state.coherence
-        procs = state.procs
+        copy_engine = CopyEngine(self.hops, state.channels, stats=state.copy_stats)
+        execute = copy_engine.execute
+        # Every ``max`` of the executor is written as a comparison
+        # (``b if b > a else a`` is ``max(a, b)``, ties included).
+        root_of = state.coherence.root
+        reserve = state.procs.reserve
         finish = state.finish
         kind_busy = state.kind_busy
         kind_points = state.kind_points
@@ -417,60 +424,64 @@ class IncrementalEngine:
         makespan = state.makespan
         snapshots = self._snapshots
         boundary_set = self._boundary_set
+        preds = self._preds
+        costs = self.costs.costs
+        stats = self.stats
 
         for index in range(start, len(order)):
             if index in boundary_set and index not in snapshots:
                 state.makespan = makespan
                 snapshots[index] = state.clone()
             launch = order[index]
-            decision = mapping.decision(launch.kind.name)
-            points = self.costs.costs(launch, decision)
-            self.stats.launches_executed += 1
+            kind_name = launch.kind.name
+            points = costs(launch, mapping.decision(kind_name))
+            stats.launches_executed += 1
 
             ready_base = 0.0
-            for dep in graph.predecessors(launch.uid):
-                ready_base = max(ready_base, finish.get(dep.src, 0.0))
+            for src in preds[index]:
+                upstream = finish.get(src, 0.0)
+                if upstream > ready_base:
+                    ready_base = upstream
 
             pending_writes: List[Tuple[str, int, int, str]] = []
             launch_finish = 0.0
-            kind_name = launch.kind.name
 
             for point in points:
                 data_ready = ready_base
                 for root, read in point.slots:
-                    seg_map = coherence.root(root)
+                    seg_map = root_of(root)
                     if read is not None:
                         lo, hi, mem_uid = read
                         local_ready, copies = seg_map.plan_read(
                             lo, hi, mem_uid
                         )
-                        data_ready = max(data_ready, local_ready)
+                        if local_ready > data_ready:
+                            data_ready = local_ready
                         for need in copies:
-                            done = copy_engine.execute(
-                                need, mem_uid, ready_base
-                            )
+                            done = execute(need, mem_uid, ready_base)
                             seg_map.commit_cache(
                                 need.lo, need.hi, mem_uid, done
                             )
-                            data_ready = max(data_ready, done)
-                _start, point_finish = procs.reserve(
-                    point.proc_uid, data_ready, point.duration
-                )
-                launch_finish = max(launch_finish, point_finish)
-                kind_busy[kind_name] = (
-                    kind_busy.get(kind_name, 0.0) + point.duration
-                )
+                            if done > data_ready:
+                                data_ready = done
+                duration = point.duration
+                _start, point_finish = reserve(point.proc_uid, data_ready, duration)
+                if point_finish > launch_finish:
+                    launch_finish = point_finish
+                kind_busy[kind_name] = kind_busy.get(kind_name, 0.0) + duration
                 kind_points[kind_name] = kind_points.get(kind_name, 0) + 1
                 pending_writes.extend(point.writes)
 
             for root, lo, hi, mem_uid in pending_writes:
-                coherence.root(root).write(lo, hi, mem_uid, launch_finish)
+                root_of(root).write(lo, hi, mem_uid, launch_finish)
 
             finish[launch.uid] = launch_finish
-            kind_finish[kind_name] = max(
-                kind_finish.get(kind_name, 0.0), launch_finish
+            previous = kind_finish.get(kind_name, 0.0)
+            kind_finish[kind_name] = (
+                launch_finish if launch_finish > previous else previous
             )
-            makespan = max(makespan, launch_finish)
+            if launch_finish > makespan:
+                makespan = launch_finish
 
         state.makespan = makespan
         end = len(order)

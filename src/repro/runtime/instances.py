@@ -13,19 +13,21 @@ replicas.  Reads then cost exactly the copies Legion would issue, halo
 exchanges included, and repeated readers of a cached instance cost
 nothing — the dedup the paper relies on when co-locating shared
 collections.
+
+The same map serves the executor, the incremental engine and the static
+bound walk (:mod:`repro.analysis.bounds`), so the bound's copy set is
+the executor's by construction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 __all__ = ["CopyNeed", "Segment", "SegmentMap", "CoherenceState"]
 
 
-@dataclass(frozen=True)
-class CopyNeed:
+class CopyNeed(NamedTuple):
     """One pending copy: bytes ``[lo, hi)`` of a root from ``src_mem``,
     available there at ``src_time``."""
 
@@ -39,31 +41,27 @@ class CopyNeed:
         return self.hi - self.lo
 
 
-@dataclass
 class Segment:
-    """State of one byte range of a root index space."""
+    """State of one byte range of a root index space: the memory holding
+    the authoritative copy, the time it was produced there, and the
+    memories holding a still-valid read replica (with their commit
+    times, in commit order)."""
 
-    lo: int
-    hi: int
-    auth_mem: Optional[str]  # None => never written (virgin data)
-    auth_time: float
-    caches: Dict[str, float] = field(default_factory=dict)
+    __slots__ = ("lo", "hi", "auth_mem", "auth_time", "caches")
 
-    def clone_range(self, lo: int, hi: int) -> "Segment":
-        return Segment(
-            lo=lo,
-            hi=hi,
-            auth_mem=self.auth_mem,
-            auth_time=self.auth_time,
-            caches=dict(self.caches),
-        )
-
-    def ready_in(self, mem: str) -> Optional[float]:
-        """Time this segment's data is available in ``mem`` (None if not
-        resident there)."""
-        if self.auth_mem == mem:
-            return self.auth_time
-        return self.caches.get(mem)
+    def __init__(
+        self,
+        lo: int,
+        hi: int,
+        auth_mem: str,
+        auth_time: float,
+        caches: Dict[str, float],
+    ) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.auth_mem = auth_mem
+        self.auth_time = auth_time
+        self.caches = caches
 
 
 class SegmentMap:
@@ -71,39 +69,44 @@ class SegmentMap:
     root index space.
 
     Segments are kept sorted by ``lo`` with a parallel offset list, so
-    every operation locates its range by bisection instead of scanning
-    the whole map."""
+    every operation locates its range with one bisection and then scans
+    forward.  A segment straddling an operation edge is split in place:
+    the left half keeps the segment object and its cache dict, the right
+    half gets a copy of the dict (same insertion order).  Split points
+    are observable — a later read issues one copy per segment it spans,
+    and each copy pays hop latency — so every operation splits exactly
+    at its own edges."""
+
+    __slots__ = ("_segments", "_los")
 
     def __init__(self) -> None:
         self._segments: List[Segment] = []
         self._los: List[int] = []
 
     # ------------------------------------------------------------------
-    def _split_at(self, pos: int) -> None:
-        """Ensure no segment straddles ``pos``."""
-        i = bisect_right(self._los, pos) - 1
-        if i >= 0:
-            seg = self._segments[i]
-            if seg.lo < pos < seg.hi:
-                left = seg.clone_range(seg.lo, pos)
-                right = seg.clone_range(pos, seg.hi)
-                self._segments[i : i + 1] = [left, right]
-                self._los.insert(i + 1, pos)
+    def _split(self, i: int, pos: int) -> None:
+        """Split segment ``i`` (which straddles ``pos``) in place."""
+        seg = self._segments[i]
+        self._segments.insert(
+            i + 1,
+            Segment(pos, seg.hi, seg.auth_mem, seg.auth_time, seg.caches.copy()),
+        )
+        self._los.insert(i + 1, pos)
+        seg.hi = pos
 
-    def _overlapping(self, lo: int, hi: int) -> List[Segment]:
-        i = bisect_left(self._los, lo)
-        if i > 0 and self._segments[i - 1].hi > lo:
-            i -= 1
-        out: List[Segment] = []
-        n = len(self._segments)
-        while i < n:
-            seg = self._segments[i]
-            if seg.lo >= hi:
-                break
-            if seg.hi > lo:
-                out.append(seg)
-            i += 1
-        return out
+    def _start(self, lo: int) -> int:
+        """Split the segment straddling ``lo`` (if any) and return the
+        index of the first segment starting at or after ``lo``."""
+        i = bisect_right(self._los, lo) - 1
+        if i < 0:
+            return 0
+        seg = self._segments[i]
+        if seg.hi <= lo:
+            return i + 1
+        if seg.lo < lo:
+            self._split(i, lo)
+            return i + 1
+        return i
 
     # ------------------------------------------------------------------
     def write(self, lo: int, hi: int, mem: str, time: float) -> None:
@@ -112,19 +115,19 @@ class SegmentMap:
         and all caches of it are invalidated."""
         if hi <= lo:
             return
-        self._split_at(lo)
-        self._split_at(hi)
-        # After splitting, every segment is either disjoint from
-        # ``[lo, hi)`` or contained in it.
-        i = bisect_left(self._los, lo)
-        j = i
-        n = len(self._segments)
-        while j < n and self._segments[j].lo < hi:
-            j += 1
-        self._segments[i:j] = [
-            Segment(lo=lo, hi=hi, auth_mem=mem, auth_time=time)
-        ]
-        self._los[i:j] = [lo]
+        i = self._start(lo)
+        segs = self._segments
+        los = self._los
+        j = bisect_left(los, hi, i)
+        if j > i:
+            last = segs[j - 1]
+            if last.hi > hi:
+                # The last overlapped segment keeps its part past ``hi``.
+                last.lo = hi
+                los[j - 1] = hi
+                j -= 1
+        segs[i:j] = (Segment(lo, hi, mem, time, {}),)
+        los[i:j] = (lo,)
 
     def plan_read(
         self, lo: int, hi: int, dst_mem: str
@@ -141,32 +144,40 @@ class SegmentMap:
         """
         if hi <= lo:
             return 0.0, []
-        self._split_at(lo)
-        self._split_at(hi)
+        i = self._start(lo)
+        segs = self._segments
+        los = self._los
         ready = 0.0
         copies: List[CopyNeed] = []
         covered = lo
-        for seg in self._overlapping(lo, hi):
-            if seg.lo > covered:
-                # Virgin gap: materialize in dst for free.
-                self.write(covered, seg.lo, dst_mem, 0.0)
-            covered = max(covered, seg.hi)
-            local = seg.ready_in(dst_mem)
-            if local is not None:
-                ready = max(ready, local)
-            elif seg.auth_mem is None:
-                seg.caches[dst_mem] = 0.0
+        n = len(segs)
+        while i < n:
+            seg = segs[i]
+            seg_lo = seg.lo
+            if seg_lo >= hi:
+                break
+            if seg_lo > covered:
+                # Virgin gap: materialise in dst for free.
+                segs.insert(i, Segment(covered, seg_lo, dst_mem, 0.0, {}))
+                los.insert(i, covered)
+                i += 1
+                n += 1
+            if seg.hi > hi:
+                self._split(i, hi)
+                n += 1
+            covered = seg.hi
+            if seg.auth_mem == dst_mem:
+                local = seg.auth_time
             else:
-                copies.append(
-                    CopyNeed(
-                        src_mem=seg.auth_mem,
-                        lo=max(seg.lo, lo),
-                        hi=min(seg.hi, hi),
-                        src_time=seg.auth_time,
-                    )
-                )
+                local = seg.caches.get(dst_mem)
+            if local is None:
+                copies.append(CopyNeed(seg.auth_mem, seg_lo, covered, seg.auth_time))
+            elif local > ready:
+                ready = local
+            i += 1
         if covered < hi:
-            self.write(covered, hi, dst_mem, 0.0)
+            segs.insert(i, Segment(covered, hi, dst_mem, 0.0, {}))
+            los.insert(i, covered)
         return ready, copies
 
     def commit_cache(self, lo: int, hi: int, mem: str, time: float) -> None:
@@ -174,10 +185,18 @@ class SegmentMap:
         as of ``time`` (after a planned copy completed)."""
         if hi <= lo:
             return
-        self._split_at(lo)
-        self._split_at(hi)
-        for seg in self._overlapping(lo, hi):
+        i = self._start(lo)
+        segs = self._segments
+        n = len(segs)
+        while i < n:
+            seg = segs[i]
+            if seg.lo >= hi:
+                break
+            if seg.hi > hi:
+                self._split(i, hi)
+                n += 1
             seg.caches[mem] = time
+            i += 1
 
     # ------------------------------------------------------------------
     def footprint(self) -> Dict[str, int]:
@@ -185,8 +204,7 @@ class SegmentMap:
         out: Dict[str, int] = {}
         for seg in self._segments:
             size = seg.hi - seg.lo
-            if seg.auth_mem is not None:
-                out[seg.auth_mem] = out.get(seg.auth_mem, 0) + size
+            out[seg.auth_mem] = out.get(seg.auth_mem, 0) + size
             for mem in seg.caches:
                 out[mem] = out.get(mem, 0) + size
         return out
@@ -197,26 +215,39 @@ class SegmentMap:
 
     def clone(self) -> "SegmentMap":
         """An independent deep copy preserving segment order and each
-        segment's cache-dict insertion order (incremental snapshots)."""
-        copy = SegmentMap()
+        segment's cache-dict insertion order."""
+        copy = SegmentMap.__new__(SegmentMap)
         copy._segments = [
-            seg.clone_range(seg.lo, seg.hi) for seg in self._segments
+            Segment(s.lo, s.hi, s.auth_mem, s.auth_time, s.caches.copy())
+            for s in self._segments
         ]
-        copy._los = list(self._los)
+        copy._los = self._los.copy()
         return copy
 
 
 class CoherenceState:
-    """Coherence over all root index spaces of a task graph."""
+    """Coherence over all root index spaces of a task graph.
+
+    Snapshots are copy-on-write: :meth:`clone` shares every root's map
+    between the two states, and afterwards the first :meth:`root` access
+    on *either* side clones that root's map, so neither side ever
+    mutates a map the other can see.  The live state keeps mutating
+    after ``snapshot = state.clone()``; the snapshot never changes."""
+
+    __slots__ = ("_roots", "_owned")
 
     def __init__(self) -> None:
         self._roots: Dict[str, SegmentMap] = {}
+        #: The maps this state may mutate: created or cloned since its
+        #: last snapshot.  Every other map is shared with a snapshot.
+        self._owned: Dict[str, SegmentMap] = {}
 
     def root(self, name: str) -> SegmentMap:
-        seg_map = self._roots.get(name)
+        seg_map = self._owned.get(name)
         if seg_map is None:
-            seg_map = SegmentMap()
-            self._roots[name] = seg_map
+            shared = self._roots.get(name)
+            seg_map = shared.clone() if shared is not None else SegmentMap()
+            self._roots[name] = self._owned[name] = seg_map
         return seg_map
 
     def footprint(self) -> Dict[str, int]:
@@ -228,10 +259,10 @@ class CoherenceState:
         return out
 
     def clone(self) -> "CoherenceState":
-        """An independent deep copy preserving root creation order
-        (incremental snapshots)."""
-        copy = CoherenceState()
-        copy._roots = {
-            name: seg_map.clone() for name, seg_map in self._roots.items()
-        }
+        """A snapshot preserving root creation order (see the class
+        docstring for the copy-on-write rule)."""
+        copy = CoherenceState.__new__(CoherenceState)
+        copy._roots = self._roots.copy()
+        copy._owned = {}
+        self._owned = {}
         return copy

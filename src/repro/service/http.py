@@ -343,6 +343,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
+    def _send_internal_error(self, exc: Exception) -> None:
+        """Answer an unexpected exception with a JSON 500 and close the
+        connection, instead of dropping it without a reply."""
+        _LOG.error("%s %s failed", self.command, self.path, exc_info=exc)
+        self.service.metrics.counter("service.http.errors").inc()
+        self.close_connection = True
+        self._send_error_json(500, f"internal error: {type(exc).__name__}")
+
     # -- routes --------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         if self.path.rstrip("/") != "/jobs":
@@ -354,10 +362,14 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError as exc:  # bad JSON or a non-UTF-8 body
                 raise ServiceError(400, f"invalid JSON body: {exc}")
             record = self.service.submit(doc)
+            reply = record.to_doc()
         except ServiceError as exc:
             self._send_error_json(exc.status, str(exc))
             return
-        self._send_json(201, record.to_doc())
+        except Exception as exc:  # noqa: BLE001 - any failure gets a reply
+            self._send_internal_error(exc)
+            return
+        self._send_json(201, reply)
 
     def _read_body(self) -> bytes:
         """The request body, after checking its ``Content-Length``.
@@ -388,6 +400,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._route_get()
         except ServiceError as exc:
             self._send_error_json(exc.status, str(exc))
+        except Exception as exc:  # noqa: BLE001 - any failure gets a reply
+            self._send_internal_error(exc)
 
     def _route_get(self) -> None:
         path = self.path.split("?", 1)[0]

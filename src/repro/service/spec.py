@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 from repro.apps import APP_REGISTRY, make_app
@@ -32,12 +32,18 @@ from repro.machine.builders import MACHINE_ZOO
 
 __all__ = [
     "JobSpec",
+    "MAX_NODES",
     "SEMANTIC_FIELDS",
     "EXECUTION_FIELDS",
     "spec_json_bytes",
 ]
 
 _FORMAT = "automap-job-v1"
+
+#: Largest node count a job may ask for: the largest zoo machine
+#: (helix, 24 nodes).  Submission routes every ordered memory pair of
+#: the machine, so its cost grows steeply with the node count.
+MAX_NODES = 24
 
 #: Fields that enter the workload fingerprint (via the materialised
 #: graph/machine for the app/machine ones, directly for the rest).
@@ -117,8 +123,8 @@ class JobSpec:
                 f"unknown search algorithm {self.algorithm!r}; "
                 f"choose from {list(ALGORITHMS)}"
             )
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
+        if not 1 <= self.nodes <= MAX_NODES:
+            raise ValueError(f"nodes must be between 1 and {MAX_NODES}")
         if not isinstance(self.machine_params, dict):
             raise ValueError("machine_params must be an object")
         if self.workers < 1:
@@ -181,30 +187,29 @@ class JobSpec:
         machine_params = doc.get("machine_params") or {}
         if not isinstance(machine_params, dict):
             raise ValueError("machine_params must be an object")
+        # Numbers and flags keep their JSON types: ``"false"`` is not
+        # false and ``2.5`` nodes is not 2.
+        ints = {name: _typed(doc, name, (int,), "an integer") for name in _INT_FIELDS}
+        flags = {
+            name: _typed(doc, name, (bool,), "true or false") for name in _FLAG_FIELDS
+        }
+        noise_sigma = _typed(doc, "noise_sigma", (int, float), "a number")
         try:
-            return JobSpec(
-                app=str(doc["app"]),
-                input=(
-                    None if doc.get("input") is None else str(doc["input"])
-                ),
-                gen_params=dict(gen_params),
-                machine=str(doc.get("machine", "shepard")),
-                nodes=int(doc.get("nodes", 1)),
-                machine_params=dict(machine_params),
-                algorithm=str(doc.get("algorithm", "ccd")),
-                seed=int(doc.get("seed", 0)),
-                max_suggestions=int(doc.get("max_suggestions", 20_000)),
-                noise_sigma=float(doc.get("noise_sigma", 0.04)),
-                spill=bool(doc.get("spill", True)),
-                static_prune=bool(doc.get("static_prune", True)),
-                bound_prune=bool(doc.get("bound_prune", True)),
-                start_mapping=start,
-                workers=int(doc.get("workers", 1)),
-                incremental=bool(doc.get("incremental", True)),
-                checkpoint_every=int(doc.get("checkpoint_every", 10)),
-            )
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed job spec: {exc}") from exc
+            noise_sigma = float(noise_sigma)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("noise_sigma must be finite") from None
+        return JobSpec(
+            app=str(doc["app"]),
+            input=None if doc.get("input") is None else str(doc["input"]),
+            gen_params=dict(gen_params),
+            machine=str(doc.get("machine", "shepard")),
+            machine_params=dict(machine_params),
+            algorithm=str(doc.get("algorithm", "ccd")),
+            noise_sigma=noise_sigma,
+            start_mapping=start,
+            **ints,
+            **flags,
+        )
 
     def with_(self, **changes) -> "JobSpec":
         return replace(self, **changes)
@@ -253,6 +258,22 @@ class JobSpec:
             f"{self.app}({detail}) on {self.machine}({self.nodes}) "
             f"{self.algorithm}/seed={self.seed}"
         )
+
+
+#: Spec fields a document must give as JSON integers / JSON booleans.
+_INT_FIELDS = ("nodes", "seed", "max_suggestions", "workers", "checkpoint_every")
+_FLAG_FIELDS = ("spill", "static_prune", "bound_prune", "incremental")
+
+_DEFAULTS = {f.name: f.default for f in fields(JobSpec)}
+
+
+def _typed(doc: dict, name: str, types: tuple, what: str):
+    """Field ``name`` of ``doc`` (its default when absent), which must
+    be exactly one of ``types`` — ``bool`` is not an ``int`` here."""
+    value = doc.get(name, _DEFAULTS[name])
+    if type(value) not in types:
+        raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
+    return value
 
 
 def spec_json_bytes(spec: JobSpec) -> bytes:

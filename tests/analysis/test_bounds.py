@@ -10,7 +10,6 @@ from repro.analysis.bounds import (
     FLOAT_SAFETY,
     BoundBreakdown,
     StaticBoundAnalyzer,
-    _FlowMap,
 )
 from repro.apps import make_app
 from repro.machine import shepard
@@ -28,49 +27,6 @@ def stencil():
     graph = make_app("stencil", nx=200, ny=200).graph(machine)
     space = SearchSpace(graph, machine)
     return graph, machine, space
-
-
-class TestFlowMap:
-    """The write-only-authority coherence mirror behind the
-    communication estimator."""
-
-    def test_virgin_reads_materialise_for_free(self):
-        flow = _FlowMap()
-        local, pieces = flow.read(0, 100, "m0")
-        assert (local, pieces) == (0.0, [])
-        # The first reader's memory now owns the range (plan_read's
-        # virgin-gap rule): a later reader elsewhere pays a real copy.
-        _, pieces = flow.read(0, 100, "m1")
-        assert pieces == [("m0", 0, 100, 0.0)]
-
-    def test_read_after_remote_write_moves_bytes(self):
-        flow = _FlowMap()
-        flow.write(0, 100, "m0", 2.0)
-        assert flow.read(0, 100, "m0") == (2.0, [])
-        local, pieces = flow.read(0, 100, "m1")
-        assert pieces == [("m0", 0, 100, 2.0)]
-        # The replica becomes cached only once its copy finishes.
-        flow.commit(0, 100, "m1", 5.0)
-        assert flow.read(0, 100, "m1") == (5.0, [])
-
-    def test_write_invalidates_replicas(self):
-        flow = _FlowMap()
-        flow.write(0, 100, "m0", 1.0)
-        _, pieces = flow.read(0, 100, "m1")
-        flow.commit(0, 100, "m1", 2.0)
-        flow.write(0, 100, "m0", 3.0)
-        _, pieces = flow.read(0, 100, "m1")
-        assert pieces == [("m0", 0, 100, 3.0)]
-
-    def test_partial_overlap_splits_segments(self):
-        flow = _FlowMap()
-        flow.write(0, 100, "m0", 1.0)
-        flow.write(50, 150, "m1", 2.0)
-        _, pieces = flow.read(0, 150, "m2")
-        assert sorted(pieces) == [
-            ("m0", 0, 50, 1.0),
-            ("m1", 50, 150, 2.0),
-        ]
 
 
 class TestBreakdown:

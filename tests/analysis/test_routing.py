@@ -19,7 +19,9 @@ from repro.machine.model import (
     Processor,
 )
 from repro.machine.topology import Topology
-from repro.runtime.copies import CopyEngine
+from repro.runtime.copies import CopyEngine, HopTable
+from repro.runtime.events import TimelinePool
+from repro.runtime.instances import CopyNeed
 from repro.util.units import GIB
 
 
@@ -60,9 +62,14 @@ def island_machine() -> Machine:
 
 class TestChannelKey:
     def test_matches_copy_engine_key(self):
-        assert channel_key("n0.fb0", "n0.zc") == CopyEngine._channel_key(
-            "n0.fb0", "n0.zc"
-        )
+        # The timeline the copy engine reserves is the one the bound
+        # attributes the copy's bytes to.
+        channels = TimelinePool()
+        engine = CopyEngine(HopTable(Topology(shepard(1))), channels)
+        need = CopyNeed(src_mem="n0.fb0", lo=0, hi=1024, src_time=0.0)
+        engine.execute(need, "n0.zc", ready=0.0)
+        reserved = [name for name, _timeline in channels.items()]
+        assert reserved == [channel_key("n0.fb0", "n0.zc")]
 
     def test_orientation_independent(self):
         assert channel_key("a", "b") == channel_key("b", "a")

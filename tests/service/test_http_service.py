@@ -279,7 +279,9 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_noise_sigma_is_400(self, service_url, sigma):
-        spec = dict(SPEC, noise_sigma=sigma)
+        # Sent as the JSON numbers NaN / Infinity, which the body parser
+        # accepts; the strings "nan" / "inf" are refused as non-numbers.
+        spec = dict(SPEC, noise_sigma=float(sigma))
         status, doc = _post(f"{service_url}/jobs", spec)
         assert status == 400
         assert "noise_sigma must be finite" in doc["error"]
@@ -359,6 +361,48 @@ class TestRequestPath:
             worker.join(5)
             assert not worker.is_alive()
         assert claims == []
+
+
+class TestUnexpectedErrors:
+    """An exception other than ``ServiceError`` still gets a reply."""
+
+    @staticmethod
+    def _request(url, method, path, body=None):
+        parts = urllib.parse.urlsplit(url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+        try:
+            conn.request(method, path, body=body)
+            reply = conn.getresponse()
+            doc = json.loads(reply.read())
+            return reply.status, reply.getheader("Connection"), doc
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "method, path, body, patched",
+        [
+            ("POST", "/jobs", json.dumps(SPEC), "submit"),
+            ("GET", "/jobs/job-000001", None, "job_record"),
+        ],
+        ids=["submit", "job_record"],
+    )
+    def test_exception_is_json_500(
+        self, tmp_path, monkeypatch, method, path, body, patched
+    ):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(MappingService, patched, fail)
+        service = MappingService(tmp_path / "state")
+        with _serving(service) as url:
+            status, connection, doc = self._request(url, method, path, body)
+            assert status == 500
+            assert connection == "close"
+            assert doc == {"error": "internal error: RuntimeError"}
+            # The server keeps serving after the failure.
+            assert _get(f"{url}/healthz") == (200, {"status": "ok"})
+        counters = service.metrics.as_dict()["counters"]
+        assert counters["service.http.errors"] == 1
 
 
 class TestCorruptRecords:

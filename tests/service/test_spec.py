@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service.spec import EXECUTION_FIELDS, SEMANTIC_FIELDS, JobSpec
+from repro.service.spec import (
+    EXECUTION_FIELDS,
+    MAX_NODES,
+    SEMANTIC_FIELDS,
+    JobSpec,
+)
 
 
 class TestValidation:
@@ -33,6 +38,31 @@ class TestValidation:
     def test_bad_numbers_rejected(self, field, value):
         with pytest.raises(ValueError):
             JobSpec(app="stencil", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("spill", "false"),
+            ("bound_prune", "false"),
+            ("incremental", 0),
+            ("nodes", 2.5),
+            ("nodes", True),
+            ("seed", 1.5),
+            ("max_suggestions", "10"),
+            ("workers", None),
+            ("noise_sigma", "0.04"),
+            ("noise_sigma", False),
+        ],
+    )
+    def test_doc_fields_keep_their_json_types(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            JobSpec.from_doc({"app": "stencil", field: value})
+
+    def test_node_count_is_bounded(self):
+        spec = JobSpec.from_doc({"app": "stencil", "nodes": MAX_NODES})
+        assert spec.nodes == MAX_NODES
+        with pytest.raises(ValueError, match="nodes"):
+            JobSpec.from_doc({"app": "stencil", "nodes": MAX_NODES + 1})
 
     def test_unknown_doc_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown job-spec field"):

@@ -88,6 +88,46 @@ class TestSegmentMap:
         assert seg.num_segments == 0
         assert seg.plan_read(5, 5, "mem_a") == (0.0, [])
 
+    # The bound walk's flow state is this map; these pin the behaviour
+    # its copy set relies on.
+    def test_virgin_reads_materialise_for_free(self):
+        flow = SegmentMap()
+        local, pieces = flow.plan_read(0, 100, "m0")
+        assert (local, pieces) == (0.0, [])
+        # The first reader's memory now owns the range (plan_read's
+        # virgin-gap rule): a later reader elsewhere pays a real copy.
+        _, pieces = flow.plan_read(0, 100, "m1")
+        assert pieces == [("m0", 0, 100, 0.0)]
+
+    def test_read_after_remote_write_moves_bytes(self):
+        flow = SegmentMap()
+        flow.write(0, 100, "m0", 2.0)
+        assert flow.plan_read(0, 100, "m0") == (2.0, [])
+        local, pieces = flow.plan_read(0, 100, "m1")
+        assert pieces == [("m0", 0, 100, 2.0)]
+        # The replica becomes cached only once its copy finishes.
+        flow.commit_cache(0, 100, "m1", 5.0)
+        assert flow.plan_read(0, 100, "m1") == (5.0, [])
+
+    def test_write_invalidates_replicas(self):
+        flow = SegmentMap()
+        flow.write(0, 100, "m0", 1.0)
+        _, pieces = flow.plan_read(0, 100, "m1")
+        flow.commit_cache(0, 100, "m1", 2.0)
+        flow.write(0, 100, "m0", 3.0)
+        _, pieces = flow.plan_read(0, 100, "m1")
+        assert pieces == [("m0", 0, 100, 3.0)]
+
+    def test_partial_overlap_splits_segments(self):
+        flow = SegmentMap()
+        flow.write(0, 100, "m0", 1.0)
+        flow.write(50, 150, "m1", 2.0)
+        _, pieces = flow.plan_read(0, 150, "m2")
+        assert sorted(pieces) == [
+            ("m0", 0, 50, 1.0),
+            ("m1", 50, 150, 2.0),
+        ]
+
 
 class TestCoherenceState:
     def test_roots_independent(self):
