@@ -18,13 +18,13 @@ in microseconds.  This package is that pre-simulation pruning layer:
 * :mod:`~repro.analysis.sanitizer` — a race/dependence checker for task
   graphs: every read-write interval overlap between launches must be
   covered by a dependence path, and every edge must be justified;
-* :mod:`~repro.analysis.bounds` — sound static lower bounds on the
-  simulated makespan (critical path, processor load, communication
-  volume), powering bound-based search pruning and the AM4xx
-  diagnostics;
+* :mod:`~repro.analysis.bounds` — sound lower bounds on the simulated
+  makespan (critical path, processor load, and the incremental
+  engine's own schedule), powering bound-based search pruning and the
+  AM4xx diagnostics, with the mandatory traffic as their evidence;
 * :mod:`~repro.analysis.routing` — the executor's channel-path routes
-  exposed to the analyzer, powering the per-channel congestion bound
-  and the AM501/AM503 diagnostics;
+  exposed to the analyzer, powering the per-channel congestion
+  evidence and the AM501/AM503 diagnostics;
 * :mod:`~repro.analysis.symmetry` — verified machine-kind automorphisms
   (interchangeable processor/memory kinds), folded by the
   canonicalizer and reported as AM502;

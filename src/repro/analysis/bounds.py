@@ -1,10 +1,9 @@
-"""Static cost bounds: a sound lower bound on simulated makespan.
+"""Cost bounds: a sound lower bound on simulated makespan.
 
 The paper treats the runtime as a black-box oracle, so every candidate
-mapping costs a full discrete-event simulation (§3.1).  But the machine
-model of §2 is explicit enough to *price* a mapping without simulating
-it: this pass computes a lower bound ``LB(mapping)`` on the simulator's
-makespan from four independently-sound components,
+mapping costs a full evaluation (§3.1).  This pass prices a mapping in
+two tiers so that the search can skip the evaluations that provably
+cannot win:
 
 * **critical path** — the longest dependence chain, each launch priced
   at its best-case per-point duration on the chosen processor kind
@@ -12,59 +11,45 @@ makespan from four independently-sound components,
   serialisation factor ``ceil(points-per-node / pool-size)``;
 * **load** — for every concrete processor, the total best-case busy
   time of the point tasks round-robin placement provably assigns to it;
-* **communication** — the mandatory transfers of the coherence layer
-  (the runtime's own :class:`~repro.runtime.instances.SegmentMap`,
-  walked in executor order), priced two ways and combined
-  with ``max``: *routed* per-channel congestion (each transfer is routed
-  over the executor's own channel path via
-  :mod:`repro.analysis.routing`, and every channel's bytes are divided
-  by its DMA bandwidth — the executor serialises traffic per channel,
-  so the busiest channel's busy time bounds the makespan) and the older
-  *incident* aggregate (each memory's total traffic divided by the sum
-  of its incident channel bandwidths — which also covers transfers the
-  routing model cannot route);
-* **routed schedule** — a conservative replay of the executor's own
-  list schedule: launches are walked in the executor's topological
-  order, every point task is reserved on its exact processor timeline
-  (the placer mirror names the concrete processor, so durations use the
-  exact link and throughput arithmetic), and every mandatory transfer
-  of the flow walk is routed hop-by-hop over the executor's channel
-  paths against mirrored per-channel timelines.  The mirror performs a
-  subset of the executor's events (virgin-data copies are missing,
-  coalesced writes can merge copy fragments) in the same processing
-  order with operand-wise smaller inputs, and the executor's timelines
-  never backfill (``start = max(ready, free)``), so each mirrored
-  finish time — and hence the mirrored makespan — is a lower bound on
-  the simulated one.  This is the component that prices *copy stalls*:
-  a consumer whose inputs cross the interconnect cannot start before
-  the routed copies land, which neither the pure chain nor the load
-  component can see.
+* **schedule** — the makespan of the tune's own
+  :class:`~repro.runtime.incremental.IncrementalEngine` run on the
+  mapping, deflated once by :data:`FLOAT_SAFETY`.
 
-``LB = max(components)``, and the soundness contract (see DESIGN.md) is
-that ``LB(mapping) <= Simulator.run(mapping).makespan`` holds *in
-floating point*, not merely in real arithmetic: the critical-path and
-load components replay the executor's own float recurrences with
-term-by-term smaller operands (IEEE rounding is monotone), and the
-communication and routed-schedule components — whose aggregation does
-not mirror a single executor float chain everywhere (write coalescing
-can merge two copy fragments into one) — are deflated by ``1 - 1e-9``,
-orders of magnitude more than the worst-case accumulated rounding of
-the sums involved.
-The search uses the bound for branch-and-bound pruning: a candidate
-whose bound already exceeds the incumbent provably cannot win, so the
-oracle can skip its simulation without changing any search decision.
+The first two are the cheap tier (:meth:`StaticBoundAnalyzer.quick_bound`);
+they replay the executor's own float recurrences with term-by-term
+smaller operands (IEEE rounding is monotone), so each is ``<=`` the
+simulated makespan in floating point.  The second tier runs the engine
+on the candidate.  That is not an evaluation (no profile record, no
+noise draw, no search-clock charge, no ``simulations`` count), but its
+makespan is the simulated one bit for bit — the engine's identity
+contract — so ``schedule`` is below the makespan by exactly the
+deflation.
 
-Soundness is deliberately conservative where the runtime is subtle:
+``LB = max(critical path, load, schedule)``, and the soundness contract
+(see DESIGN.md) is that ``LB(mapping) <= Simulator.run(mapping).makespan``
+holds *in floating point*.  The search uses the bound for
+branch-and-bound pruning: a candidate whose bound already exceeds the
+incumbent provably cannot win, so the oracle can skip its evaluation
+without changing any search decision.
 
-* virgin (never-written) data is materialised for free in its first
-  reader's memory by ``plan_read``, which the walk shares with the
-  executor — the resulting copies are order-dependent, which is sound
-  only because the flow walk replays reads in the executor's own
-  (launch, point, slot) processing order;
-* copy latencies, store-and-forward hops, and through-traffic on a
-  memory's channels are ignored (they only add real time);
-* a partial mapping (some kinds undecided) falls back to the critical
-  path alone, pricing undecided kinds at their cheapest option.
+:meth:`StaticBoundAnalyzer.breakdown` also reports the mapping's
+mandatory traffic as evidence for the AM402/AM501 diagnostics and the
+report's routed-vs-incident gap ratio.  The traffic comes from a
+timeline-free walk of the coherence layer (the runtime's own
+:class:`~repro.runtime.instances.SegmentMap`) over the engine's
+per-launch costs, in executor order: ``plan_read`` picks each copy's
+source by authority alone, never by time, so the walk finds exactly
+the executor's copies.  It is priced two ways and combined with
+``max``: *routed* per-channel congestion (each pair's bytes cross every
+channel of the executor's copy path, see :mod:`repro.analysis.routing`,
+and the busiest channel's bytes are divided by its DMA bandwidth) and
+the *incident* aggregate (each memory's traffic divided by the sum of
+its incident channel bandwidths).  The result never exceeds
+``schedule`` — each channel's simulated busy time adds hop latency on
+top of the bytes it carries — so it is not a term of ``LB``.
+
+A partial mapping (some kinds undecided) falls back to the critical
+path alone, pricing undecided kinds at their cheapest option.
 """
 
 from __future__ import annotations
@@ -76,11 +61,10 @@ from repro.analysis.diagnostics import Diagnostic, Span
 from repro.analysis.routing import routing_model
 from repro.machine.kinds import ADDRESSABLE, MemKind, ProcKind
 from repro.machine.model import Machine
-from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
 from repro.runtime.copies import DMA_EFFICIENCY
+from repro.runtime.incremental import IncrementalEngine
 from repro.runtime.instances import CoherenceState
-from repro.runtime.placement import Placer
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.task import TaskLaunch
 
@@ -91,10 +75,11 @@ __all__ = [
     "bound_guided_mapping",
 ]
 
-#: Relative deflation applied to bound components whose derivation
-#: aggregates across resources instead of replaying one executor float
-#: chain.  The true inequality holds in real arithmetic with slack (copy
-#: latencies, DMA setup); 1e-9 dwarfs any accumulated float rounding.
+#: Relative deflation of the schedule and traffic components.  It keeps
+#: the schedule (the engine's makespan) strictly below the simulated
+#: makespan, and it covers the rounding of the traffic sums, which
+#: aggregate across resources instead of replaying one executor float
+#: chain; 1e-9 dwarfs any accumulated float rounding.
 FLOAT_SAFETY = 1.0 - 1e-9
 
 #: Share of all routed bytes a single channel must carry before AM501
@@ -104,24 +89,23 @@ AM501_SHARE = 0.5
 
 @dataclass(frozen=True)
 class BoundBreakdown:
-    """The components of one mapping's lower bound.
+    """The components of one mapping's lower bound, and the traffic
+    evidence behind the AM402/AM501 diagnostics.
 
-    ``comm_memory``/``comm_edge`` name the heaviest memory boundary and
-    its top contributing (consumer kind, collection root) edge — the
-    evidence AM402 reports for communication-dominated placements.
+    ``schedule`` is the engine's makespan for the mapping, deflated once
+    by :data:`FLOAT_SAFETY`; zero for partial mappings.
 
     ``communication`` is the max of the routed per-channel congestion
-    bound and the incident-bandwidth bound; ``communication_incident``
-    keeps the incident component alone so the routed-vs-incident gap is
-    observable, and ``comm_channel``/``comm_channel_share`` name the
+    and the incident-bandwidth aggregate of the mapping's mandatory
+    traffic.  It never exceeds ``schedule``, so it is evidence, not a
+    term of :attr:`total`.  ``communication_incident`` keeps the
+    incident aggregate alone so the routed-vs-incident gap is
+    observable.  ``comm_memory``/``comm_edge`` name the heaviest memory
+    boundary and its top contributing (consumer kind, collection root)
+    edge — the evidence AM402 reports for communication-dominated
+    placements — and ``comm_channel``/``comm_channel_share`` name the
     most congested channel and its share of all routed bytes — the
     evidence AM501 reports for bottleneck interconnects.
-
-    ``schedule`` is the routed schedule-replay bound: the makespan of a
-    conservative mirror of the executor's list schedule (exact
-    processor reservations plus routed, channel-contended copies).  It
-    dominates the chain and load components whenever copy stalls are on
-    the critical path; zero for partial mappings.
     """
 
     critical_path: float
@@ -138,65 +122,32 @@ class BoundBreakdown:
     @property
     def total(self) -> float:
         """The combined lower bound: max of the sound components."""
-        return max(
-            self.critical_path,
-            self.load,
-            self.communication,
-            self.schedule,
-        )
-
-
-class _CommState:
-    """Accumulated flow-walk state: the coherence layer's own per-root
-    segment maps, the integer traffic tally, and the schedule-replay
-    timelines (per-launch finish floors, per-processor and per-channel
-    ``free_at`` mirrors).  The walk state is a deterministic function of
-    the mapping prefix it consumed, so any prefix/suffix recomposition
-    of the walk reproduces the same final state bit-for-bit.
-
-    Snapshots are copy-on-write: :meth:`clone` relies on
-    :meth:`CoherenceState.clone`, which shares the segment maps and
-    clones a root's map on its first access after the snapshot, so a
-    snapshot is never mutated."""
-
-    __slots__ = (
-        "coherence",
-        "tally",
-        "finish",
-        "proc_free",
-        "chan_free",
-    )
-
-    def __init__(self) -> None:
-        self.coherence = CoherenceState()
-        #: (src mem uid, dst mem uid, root, consumer kind) -> bytes; the
-        #: per-memory, per-pair and per-edge totals are summed from it.
-        self.tally: Dict[Tuple[str, str, str, str], int] = {}
-        #: launch uid -> lower bound on its group finish time.
-        self.finish: Dict[str, float] = {}
-        #: concrete processor uid -> mirrored timeline ``free_at``.
-        self.proc_free: Dict[str, float] = {}
-        #: channel key -> mirrored timeline ``free_at``.
-        self.chan_free: Dict[str, float] = {}
-
-    def clone(self) -> "_CommState":
-        copy = _CommState.__new__(_CommState)
-        copy.coherence = self.coherence.clone()
-        copy.tally = dict(self.tally)
-        copy.finish = dict(self.finish)
-        copy.proc_free = dict(self.proc_free)
-        copy.chan_free = dict(self.chan_free)
-        return copy
+        return max(self.critical_path, self.load, self.schedule)
 
 
 class StaticBoundAnalyzer:
     """Computes sound makespan lower bounds for (possibly partial)
-    mappings of one ``(graph, machine)`` pair."""
+    mappings of one ``(graph, machine)`` pair.
 
-    def __init__(self, graph: TaskGraph, machine: Machine) -> None:
+    ``engine`` is the incremental engine the schedule component runs
+    on.  A tune passes its simulator's own
+    (:attr:`~repro.runtime.simulator.Simulator.engine`), so bound runs
+    and simulations share one launch-cost table and one snapshot chain;
+    that is safe because an engine run is a pure function of the
+    mapping.  Without one, the analyzer builds a private engine.
+    """
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        machine: Machine,
+        engine: Optional[IncrementalEngine] = None,
+    ) -> None:
         self.graph = graph
         self.machine = machine
-        self._placer = Placer(machine)
+        self.engine = (
+            engine if engine is not None else IncrementalEngine(graph, machine)
+        )
         self._order = graph.topological_order()
         self._kind_names = {k.name for k in graph.task_kinds}
         #: launch uid -> interned shape id: identical launches share
@@ -242,32 +193,19 @@ class StaticBoundAnalyzer:
             if total > 0:
                 self._channel_bw[mem.uid] = DMA_EFFICIENCY * total
 
-        #: The executor's channel-path routes (shared per machine); its
-        #: topology also serves the schedule replay's hop-level copies.
+        #: The executor's channel-path routes (shared per machine).
         self._routing = routing_model(machine)
 
         # Caches (all keyed on deterministic values).
         self._node_count_cache: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
         self._duration_cache: Dict[Tuple, float] = {}
         self._best_duration_cache: Dict[int, Tuple[float, int]] = {}
-        self._interval_cache: Dict[Tuple, Tuple[Tuple[int, int], ...]] = {}
         self._breakdown_cache: Dict[Tuple, BoundBreakdown] = {}
-        self._quick_cache: Dict[Tuple, float] = {}
-        self._replay_ops_cache: Dict[Tuple, Optional[Tuple]] = {}
+        self._bound_cache: Dict[Tuple, float] = {}
+        #: mapping key -> (partial, quick bound).
+        self._quick_cache: Dict[Tuple, Tuple[bool, float]] = {}
 
-        # Incremental flow-walk state: along a search chain consecutive
-        # bound requests differ in few kinds, so the walk replays the
-        # unchanged prefix from a snapshot (same scheme as the runtime's
-        # incremental engine; sound here because the walk state is pure
-        # integer bookkeeping, so recomposition is exact).
-        self._comm_first: Dict[str, int] = {}
-        for index, launch in enumerate(self._order):
-            self._comm_first.setdefault(launch.kind.name, index)
-        self._comm_boundaries = set(self._comm_first.values())
-        self._comm_base: Optional[Dict[str, Tuple]] = None
-        self._comm_snapshots: Dict[int, _CommState] = {}
-
-        #: How many bounds were requested / served from the cache.
+        #: How many lower bounds were requested / served from the cache.
         self.checks = 0
         self.cache_hits = 0
 
@@ -407,19 +345,6 @@ class StaticBoundAnalyzer:
         self._best_duration_cache[shape] = result
         return result
 
-    def _shard_intervals(
-        self, launch: TaskLaunch, slot_index: int, for_write: bool
-    ) -> Tuple[Tuple[int, int], ...]:
-        key = (self._shape_of[launch.uid], slot_index, for_write)
-        cached = self._interval_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                launch.shard_interval(slot_index, point, for_write=for_write)
-                for point in range(launch.size)
-            )
-            self._interval_cache[key] = cached
-        return cached
-
     # ------------------------------------------------------------------
     # Components
     # ------------------------------------------------------------------
@@ -485,155 +410,7 @@ class StaticBoundAnalyzer:
         load = max(busy.values(), default=0.0)
         return cp, load
 
-    def _replay_ops(
-        self, launch: TaskLaunch, decision: MappingDecision
-    ) -> Optional[Tuple]:
-        """The launch's schedule-replay operations under ``decision`` —
-        a pure function of the launch's shape and the decision, cached
-        across the search chain and shared by identical launches.
-
-        Returns ``(points, writes)``: ``points`` is a tuple, one entry
-        per point task in placement order, of ``(proc_uid, duration,
-        reads)`` where ``duration`` replays the executor's exact float
-        arithmetic on the concrete processor and its concrete access
-        links, and ``reads`` lists ``(root, dst_mem, lo, hi)`` for the
-        point's non-empty read shards in slot order; ``writes`` is a
-        tuple of ``(root, lo, hi, mem)`` write ops (coalesced where that
-        provably cannot change the flow state).  ``None`` marks an
-        invalid decision (no placement, no flow, no schedule).
-        """
-        key = (self._shape_of[launch.uid], decision.key())
-        if key not in self._replay_ops_cache:
-            self._replay_ops_cache[key] = self._compute_replay_ops(
-                launch, decision
-            )
-        return self._replay_ops_cache[key]
-
-    def _compute_replay_ops(
-        self, launch: TaskLaunch, decision: MappingDecision
-    ) -> Optional[Tuple]:
-        try:
-            placements = self._placer.place_launch(launch, decision)
-        except ValueError:
-            return None
-        # Per-slot terms that do not depend on the point.
-        slot_terms = [
-            (
-                int(slot.privilege.reads) + int(slot.privilege.writes),
-                launch.arg_bytes_per_point(slot_index),
-            )
-            for slot_index, slot in enumerate(launch.kind.slots)
-        ]
-        read_slots = [
-            (i, launch.args[i].root, self._shard_intervals(launch, i, False))
-            for i, slot in enumerate(launch.kind.slots)
-            if slot.privilege.reads
-        ]
-        write_slots = [
-            (i, launch.args[i].root, self._shard_intervals(launch, i, True))
-            for i, slot in enumerate(launch.kind.slots)
-            if slot.privilege.writes
-        ]
-        point_flops = launch.flops / launch.size
-        gpu_adjust = (
-            launch.kind.gpu_speedup
-            if decision.proc_kind == ProcKind.GPU
-            else 1.0
-        )
-        points = []
-        writes = []
-        for placement in placements:
-            proc = placement.proc
-            point = placement.point
-            mems = [mem.uid for mem in placement.mems]
-            access_seconds = 0.0
-            for mem_uid, (passes, bytes_pp) in zip(mems, slot_terms):
-                link = self.machine.access_link(proc.uid, mem_uid)
-                if link is None:  # unreachable slot: invalid decision
-                    return None
-                access_seconds += (
-                    link.latency + bytes_pp / link.bandwidth
-                ) * passes
-            compute_seconds = 0.0
-            if point_flops > 0:
-                compute_seconds = point_flops / (proc.throughput * gpu_adjust)
-            duration = proc.launch_overhead + compute_seconds + access_seconds
-            reads = tuple(
-                (root, mems[slot_index], lo, hi)
-                for slot_index, root, intervals in read_slots
-                for lo, hi in (intervals[point],)
-                if hi > lo
-            )
-            points.append((proc.uid, duration, reads))
-            # Write ops in (point, slot) order, like the executor's
-            # group-barrier commit.
-            for slot_index, root, intervals in write_slots:
-                lo, hi = intervals[point]
-                if hi > lo:
-                    writes.append((root, lo, hi, mems[slot_index]))
-        return tuple(points), tuple(self._coalesce_writes(writes))
-
-    @staticmethod
-    def _coalesce_writes(
-        writes: List[Tuple[str, int, int, str]]
-    ) -> List[Tuple[str, int, int, str]]:
-        """Union a launch's write ops per ``(root, mem)``.
-
-        The flow walk tallies integer byte totals per authority, so
-        when no byte of a root is written to two different memories
-        within one launch (the disjoint-shard case), applying the
-        per-``(root, mem)`` unions leaves the final flow state — and
-        every later tally — unchanged while the op count drops from one
-        per point to one per contiguous run.  Order-dependent overlaps
-        fall back to the exact per-point sequence."""
-        grouped: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-        order: List[Tuple[str, str]] = []
-        for root, lo, hi, mem in writes:
-            key = (root, mem)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append((lo, hi))
-        merged = {key: _coalesce(pieces) for key, pieces in grouped.items()}
-        by_root: Dict[str, List[Tuple[int, int]]] = {}
-        for (root, _), pieces in merged.items():
-            by_root.setdefault(root, []).extend(pieces)
-        for pieces in by_root.values():
-            union = _coalesce(pieces)
-            if sum(h - l for l, h in union) != sum(h - l for l, h in pieces):
-                return writes  # cross-memory overlap: order matters
-        return [
-            (root, lo, hi, mem)
-            for root, mem in order
-            for lo, hi in merged[(root, mem)]
-        ]
-
-    def _replay_copy(
-        self,
-        chan_free: Dict[str, float],
-        src: str,
-        dst: str,
-        nbytes: int,
-        ready: float,
-        src_time: float,
-    ) -> float:
-        """Mirror one ``CopyEngine.execute``: route the piece over the
-        executor's hop path, reserving each hop on the mirrored channel
-        timelines.  Returns the copy's lower-bound finish time."""
-        hops = self._routing.hops(src, dst)
-        time = src_time if src_time > ready else ready
-        if not hops:
-            return time
-        for key, latency, dma_bandwidth in hops:
-            duration = latency + nbytes / dma_bandwidth
-            free = chan_free.get(key, 0.0)
-            if free > time:
-                time = free
-            time = time + duration
-            chan_free[key] = time
-        return time
-
-    def _comm_component(self, mapping: Mapping) -> Tuple[
+    def _communication(self, mapping: Mapping) -> Tuple[
         float,
         float,
         Optional[str],
@@ -641,111 +418,41 @@ class StaticBoundAnalyzer:
         int,
         Optional[str],
         float,
-        float,
     ]:
-        """Mandatory-traffic and routed-schedule bounds: walks the
-        launches once in executor order, mirroring its list schedule
-        (processor reservations, routed channel-contended copies) while
-        tallying the flow walk's traffic; returns ``(bound, incident,
-        memory, edge, edge_bytes, channel, channel_share, schedule)``.
+        """The mapping's mandatory traffic, priced as evidence; returns
+        ``(communication, incident, memory, edge, edge_bytes, channel,
+        channel_share)``.
+
+        Walks the launches in executor order over the engine's launch
+        costs, running the coherence layer's ``plan_read``,
+        ``commit_cache`` and group-barrier ``write`` in the executor's
+        (launch, point, slot) order with every time at zero.  No
+        coherence operation decides by time, so the walk issues exactly
+        the executor's copies without any timeline.
         """
-        order = self._order
-        if self._comm_base is None:
-            dirty = 0
-        else:
-            dirty = len(order)
-            for kind_name, first in self._comm_first.items():
-                if first >= dirty:
-                    continue
-                if (
-                    mapping.decision(kind_name).key()
-                    != self._comm_base[kind_name]
-                ):
-                    dirty = first
-        start = 0
-        base_snapshot = None
-        for index, snapshot in self._comm_snapshots.items():
-            if start <= index <= dirty:
-                start = index
-                base_snapshot = snapshot
-        if base_snapshot is not None:
-            state = base_snapshot.clone()
-        else:
-            state = _CommState()
-            start = 0
-        self._comm_snapshots = {
-            index: snapshot
-            for index, snapshot in self._comm_snapshots.items()
-            if index <= dirty
-        }
-        snapshots = self._comm_snapshots
-        boundaries = self._comm_boundaries
-        root_of = state.coherence.root
-        tally = state.tally
-        finish = state.finish
-        proc_free = state.proc_free
-        chan_free = state.chan_free
-
-        for launch_index in range(start, len(order)):
-            if launch_index in boundaries and launch_index not in snapshots:
-                snapshots[launch_index] = state.clone()
-            launch = order[launch_index]
+        root_of = CoherenceState().root
+        costs = self.engine.costs.costs
+        #: (src mem uid, dst mem uid, root, consumer kind) -> bytes; the
+        #: per-memory, per-pair and per-edge totals are summed from it.
+        tally: Dict[Tuple[str, str, str, str], int] = {}
+        for launch in self._order:
             kind_name = launch.kind.name
-            decision = mapping.decision(kind_name)
-            ops = self._replay_ops(launch, decision)
-            # The group barrier: a launch starts no earlier than its
-            # predecessors' mirrored finish times.
-            ready = 0.0
-            for dep in self.graph.predecessors(launch.uid):
-                upstream = finish.get(dep.src, 0.0)
-                if upstream > ready:
-                    ready = upstream
-            if ops is None:  # invalid decision — no placement, no flow
-                finish[launch.uid] = ready
-                continue
-            points, write_ops = ops
-            launch_finish = 0.0
-            # Points in placement order, exactly like the executor: plan
-            # the point's copies on the coherence layer's segment maps,
-            # route them over the mirrored channel timelines, then
-            # reserve the point on its processor's mirrored timeline.
-            for proc_uid, duration, reads in points:
-                data_ready = ready
-                for root, dst, lo, hi in reads:
+            points = costs(launch, mapping.decision(kind_name))
+            for point in points:
+                for root, read in point.slots:
+                    if read is None:
+                        continue
+                    lo, hi, dst = read
                     seg_map = root_of(root)
-                    local, pieces = seg_map.plan_read(lo, hi, dst)
-                    if local > data_ready:
-                        data_ready = local
-                    for src, p_lo, p_hi, src_time in pieces:
-                        nbytes = p_hi - p_lo
+                    for src, p_lo, p_hi, _time in seg_map.plan_read(
+                        lo, hi, dst
+                    )[1]:
                         entry = (src, dst, root, kind_name)
-                        tally[entry] = tally.get(entry, 0) + nbytes
-                        done = self._replay_copy(
-                            chan_free, src, dst, nbytes, ready, src_time
-                        )
-                        seg_map.commit_cache(p_lo, p_hi, dst, done)
-                        if done > data_ready:
-                            data_ready = done
-                free = proc_free.get(proc_uid, 0.0)
-                point_start = free if free > data_ready else data_ready
-                point_finish = point_start + duration
-                proc_free[proc_uid] = point_finish
-                if point_finish > launch_finish:
-                    launch_finish = point_finish
-            # Writes commit after the whole group, in (point, slot) order.
-            for root, lo, hi, mem in write_ops:
-                root_of(root).write(lo, hi, mem, launch_finish)
-            finish[launch.uid] = launch_finish
-
-        end = len(order)
-        if end not in snapshots:
-            # Stored by reference: the walk is over and future walks
-            # clone before mutating.
-            snapshots[end] = state
-        self._comm_base = {
-            kind_name: mapping.decision(kind_name).key()
-            for kind_name in self._comm_first
-        }
+                        tally[entry] = tally.get(entry, 0) + p_hi - p_lo
+                        seg_map.commit_cache(p_lo, p_hi, dst, 0.0)
+            for point in points:
+                for root, lo, hi, mem in point.writes:
+                    root_of(root).write(lo, hi, mem, 0.0)
 
         # Per-memory and per-pair totals, summed from the tally (integer
         # sums, so the order of accumulation cannot matter).
@@ -815,11 +522,6 @@ class StaticBoundAnalyzer:
             else 0.0
         )
         bound = routed if routed > incident else incident
-        # The mirrored schedule's makespan.  Deflated like the traffic
-        # bounds: write coalescing can merge two executor copy fragments
-        # into one mirrored copy, which is smaller in real arithmetic by
-        # at least one hop latency but not a term-by-term float replay.
-        schedule = max(state.finish.values(), default=0.0) * FLOAT_SAFETY
         return (
             bound,
             incident,
@@ -828,24 +530,28 @@ class StaticBoundAnalyzer:
             top_bytes,
             worst_channel,
             share,
-            schedule,
         )
+
+    def _schedule(self, mapping: Mapping) -> float:
+        """The engine's makespan for ``mapping``, deflated once."""
+        return self.engine.run(mapping).makespan * FLOAT_SAFETY
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def breakdown(self, mapping: Mapping) -> BoundBreakdown:
-        """Component-wise lower bound for ``mapping``.
+        """Component-wise lower bound for ``mapping``, with the traffic
+        evidence; ``total`` equals :meth:`lower_bound` exactly.
 
-        A mapping covering every task kind of the graph gets all three
-        components; a partial mapping gets the critical path only, with
-        undecided kinds priced at their cheapest legal option.
+        A mapping covering every task kind of the graph gets every
+        component; a partial mapping gets the critical path only, with
+        undecided kinds priced at their cheapest legal option.  Only
+        this method walks the traffic: it serves the diagnostics and
+        the report's gap ratio, not the search.
         """
-        self.checks += 1
         key = mapping.key()
         cached = self._breakdown_cache.get(key)
         if cached is not None:
-            self.cache_hits += 1
             return cached
         partial = self._is_partial(mapping)
         cp, load = self._chain_components(mapping, partial)
@@ -854,8 +560,8 @@ class StaticBoundAnalyzer:
                 critical_path=cp, load=0.0, communication=0.0
             )
         else:
-            comm, incident, mem, edge, nbytes, channel, share, schedule = (
-                self._comm_component(mapping)
+            comm, incident, mem, edge, nbytes, channel, share = (
+                self._communication(mapping)
             )
             result = BoundBreakdown(
                 critical_path=cp,
@@ -867,7 +573,7 @@ class StaticBoundAnalyzer:
                 communication_incident=incident,
                 comm_channel=channel,
                 comm_channel_share=share,
-                schedule=schedule,
+                schedule=self._schedule(mapping),
             )
         self._breakdown_cache[key] = result
         return result
@@ -883,8 +589,21 @@ class StaticBoundAnalyzer:
         )
 
     def lower_bound(self, mapping: Mapping) -> float:
-        """Sound lower bound on ``Simulator.run(mapping).makespan``."""
-        return self.breakdown(mapping).total
+        """Sound lower bound on ``Simulator.run(mapping).makespan``:
+        :meth:`quick_bound`, raised to the schedule component for a full
+        mapping.  Equals ``breakdown(mapping).total`` exactly, without
+        the traffic walk."""
+        self.checks += 1
+        key = mapping.key()
+        bound = self._bound_cache.get(key)
+        if bound is not None:
+            self.cache_hits += 1
+            return bound
+        partial, bound = self._quick(mapping)
+        if not partial:
+            bound = max(bound, self._schedule(mapping))
+        self._bound_cache[key] = bound
+        return bound
 
     def gap_ratio(self, mapping: Mapping) -> float:
         """Routed-vs-incident tightening for one mapping: how much the
@@ -901,28 +620,31 @@ class StaticBoundAnalyzer:
             return 1.0
         return bd.communication / bd.communication_incident
 
-    def quick_bound(self, mapping: Mapping) -> float:
-        """Cheap sound lower bound: critical path and load only, no
-        traffic component.
-
-        Weaker than :meth:`lower_bound` but skips the flow-map walk
-        that dominates the full breakdown, so it is the right price for
-        *ordering* decisions — seeding and best-bound-first move
-        ranking — where only the relative ranking matters and a sound
-        but loose value cannot change correctness.  It takes its max
-        over the same :meth:`_chain_components` floats as
-        :meth:`breakdown`, so ``quick_bound(m) <= lower_bound(m)``
-        holds exactly: the oracle prunes on it first and walks traffic
-        only when it cannot decide.
-        """
+    def _quick(self, mapping: Mapping) -> Tuple[bool, float]:
+        """``(partial, quick bound)`` for ``mapping``, cached per key."""
         key = mapping.key()
         cached = self._quick_cache.get(key)
         if cached is None:
             partial = self._is_partial(mapping)
             cp, load = self._chain_components(mapping, partial)
-            cached = cp if partial else max(cp, load)
+            cached = (partial, cp if partial else max(cp, load))
             self._quick_cache[key] = cached
         return cached
+
+    def quick_bound(self, mapping: Mapping) -> float:
+        """Cheap sound lower bound: critical path and load only, no
+        engine run.
+
+        Weaker than :meth:`lower_bound` but costs no run, so it is the
+        right price for *ordering* decisions — seeding and
+        best-bound-first move ranking — where only the relative ranking
+        matters and a sound but loose value cannot change correctness.
+        :meth:`lower_bound` takes its max over the same floats, so
+        ``quick_bound(m) <= lower_bound(m)`` holds exactly: the oracle
+        prunes on it first and runs the engine only when it cannot
+        decide.
+        """
+        return self._quick(mapping)[1]
 
     # ------------------------------------------------------------------
     def diagnose_mapping(
@@ -1059,14 +781,3 @@ def bound_guided_mapping(space, analyzer: StaticBoundAnalyzer) -> Mapping:
         return space.default_mapping()
     return mapping
 
-
-def _coalesce(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Sort and merge overlapping/adjacent ``[lo, hi)`` intervals."""
-    merged: List[Tuple[int, int]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            prev_lo, prev_hi = merged[-1]
-            merged[-1] = (prev_lo, max(prev_hi, hi))
-        else:
-            merged.append((lo, hi))
-    return merged

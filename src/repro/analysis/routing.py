@@ -1,23 +1,23 @@
-"""Channel-path routing model for the static cost bounds.
+"""Channel-path routing model for the bound analyzer's traffic evidence.
 
-The communication component of :mod:`repro.analysis.bounds` originally
-priced traffic at each memory's *incident* channel bandwidth — sound,
-but far too loose on multi-hop machines where a copy crosses several
-channels (e.g. framebuffer → zero-copy → remote zero-copy → remote
-framebuffer).  This module exposes the executor's own routing decisions
-to the analyzer:
+Pricing each memory's traffic at its *incident* channel bandwidth is
+sound but far too loose on multi-hop machines, where a copy crosses
+several channels (e.g. framebuffer → zero-copy → remote zero-copy →
+remote framebuffer).  This module exposes the executor's own routing
+decisions to :mod:`repro.analysis.bounds`, which prices the routed
+per-channel congestion beside the incident aggregate:
 
 * :class:`RoutingModel` wraps a :class:`repro.machine.topology.Topology`
   built from the same machine the simulator uses, so the channel
-  sequence it reports for a ``(src, dst)`` memory pair is *exactly* the
-  sequence :class:`repro.runtime.copies.CopyEngine` reserves when it
-  executes that copy.  Its hops come from the engine's own
-  :class:`repro.runtime.copies.HopTable`, so each hop carries the
-  engine's serial timeline key (:func:`repro.runtime.copies.channel_key`),
-  which is what makes the per-channel congestion bound sound: the
-  executor serialises all traffic through one key on one timeline, so
-  the simulated makespan is at least the busy time of the busiest
-  channel.
+  sequence :meth:`RoutingModel.route` reports for a ``(src, dst)``
+  memory pair is *exactly* the sequence
+  :class:`repro.runtime.copies.CopyEngine` reserves when it executes
+  that copy.  It reads the copy engine's own
+  :class:`repro.runtime.copies.HopTable`, so each route names the
+  engine's serial timeline keys
+  (:func:`repro.runtime.copies.channel_key`): the executor serialises
+  all traffic through one key on one timeline, so the simulated
+  makespan is at least the busy time of the busiest channel.
 * :func:`routing_model` caches one model per live machine object —
   analyses along a search chain hit the same machine thousands of
   times, and path computation dominates a cold analyzer otherwise.
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.diagnostics import Diagnostic, Span
 from repro.machine.model import Machine
 from repro.machine.topology import Topology
-from repro.runtime.copies import Hop, HopTable, channel_key
+from repro.runtime.copies import HopTable, channel_key
 
 __all__ = ["RoutingModel", "channel_key", "routing_model"]
 
@@ -66,22 +66,10 @@ class RoutingModel:
         Returns an empty tuple when source equals destination and
         ``None`` when no channel path exists (the executor would raise).
         """
-        hops = self.hops(src_uid, dst_uid)
+        hops = self._hops.hops(src_uid, dst_uid)
         if hops is None:
             return None
         return tuple(key for key, _latency, _bandwidth in hops)
-
-    def hops(self, src_uid: str, dst_uid: str) -> Optional[Tuple[Hop, ...]]:
-        """Per-hop ``(channel key, latency, bandwidth * DMA_EFFICIENCY)``
-        of the copy path from ``src`` to ``dst``, in path order.
-
-        The last term is the very product
-        :meth:`repro.runtime.copies.CopyEngine.execute` divides a copy's
-        bytes by, so a hop-level replay built on it reproduces the
-        engine's duration floats.  Empty when source equals destination,
-        ``None`` when no channel path exists.
-        """
-        return self._hops.hops(src_uid, dst_uid)
 
     def channel_bandwidth(self, key: str) -> Optional[float]:
         """Raw bandwidth of the channel behind a timeline key."""

@@ -327,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--bounds",
         action="store_true",
-        help="also run the static cost-bound analyzer (AM4xx): "
-        "critical-path/communication lower bounds compared against "
-        "the default mapping's simulated makespan",
+        help="also run the cost-bound analyzer (AM4xx): makespan "
+        "lower bounds and mandatory traffic compared against the "
+        "default mapping's simulated makespan",
     )
     analyze.add_argument(
         "--equivalence",

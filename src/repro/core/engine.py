@@ -306,8 +306,7 @@ class PreparedTune:
             )
 
         # Bound-based pruning (repro.analysis.bounds): skip candidates
-        # whose static makespan lower bound already exceeds the
-        # best-so-far.  Only sound when (a) the algorithm compares
+        # whose makespan lower bound already exceeds the best-so-far.  Only sound when (a) the algorithm compares
         # outcomes against an incumbent rather than consuming the
         # numbers, (b) performance is the default makespan mean (a lower
         # bound on makespan says nothing about a custom metric), and
@@ -326,7 +325,9 @@ class PreparedTune:
         ):
             from repro.analysis.bounds import StaticBoundAnalyzer
 
-            self.bounds = StaticBoundAnalyzer(request.graph, request.machine)
+            self.bounds = StaticBoundAnalyzer(
+                request.graph, request.machine, engine=self.simulator.engine
+            )
 
         # Best-bound-first ordering: CD-family algorithms visit each
         # coordinate's move-set in ascending static-lower-bound order
@@ -346,7 +347,9 @@ class PreparedTune:
                 from repro.analysis.bounds import StaticBoundAnalyzer
 
                 self.order_bounds = StaticBoundAnalyzer(
-                    request.graph, request.machine
+                    request.graph,
+                    request.machine,
+                    engine=self.simulator.engine,
                 )
 
 

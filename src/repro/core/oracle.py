@@ -79,11 +79,11 @@ T = TypeVar("T")
 class _CandidateBound:
     """One candidate's lower bound on its measured mean, priced in two
     tiers on the spill-planned mapping ``executed``: ``quick`` (critical
-    path and load) when the entry is created, ``full`` (adds the traffic
-    walk and schedule replay) only when a decision needs it.  Both are
-    scaled by the same noise ``factor`` and ``FLOAT_SAFETY``, and the
-    analyzer's quick bound is the max over a subset of the full bound's
-    floats, so ``quick <= full`` exactly."""
+    path and load) when the entry is created, ``full`` (adds the
+    schedule component, an engine run) only when a decision needs it.
+    Both are scaled by the same noise ``factor`` and ``FLOAT_SAFETY``,
+    and the analyzer's quick bound is the max over a subset of the full
+    bound's floats, so ``quick <= full`` exactly."""
 
     __slots__ = ("executed", "factor", "quick", "full")
 
@@ -213,12 +213,13 @@ class SimulationOracle:
         #: optional :class:`repro.analysis.bounds.StaticBoundAnalyzer`:
         #: once an incumbent exists, candidates whose sound makespan
         #: lower bound already meets or exceeds it are rejected without
-        #: simulation.  Because the bound provably under-estimates the
-        #: measured mean and every search accepts only strict
-        #: improvements, the pruned search takes the exact same
-        #: trajectory as the unpruned one.  The engine gates this on
-        #: algorithms that only *compare* outcomes (CD/CCD/random) and
-        #: on the default makespan metric.
+        #: an evaluation (the full tier runs the simulator's engine but
+        #: records, draws and counts nothing).  Because the bound
+        #: provably under-estimates the measured mean and every search
+        #: accepts only strict improvements, the pruned search takes
+        #: the exact same trajectory as the unpruned one.  The engine
+        #: gates this on algorithms that only *compare* outcomes
+        #: (CD/CCD/random) and on the default makespan metric.
         self.bounds = bounds
         #: All evaluation accounting lives in one metrics registry
         #: (:mod:`repro.obs.metrics`); the attribute-style reads the
@@ -236,8 +237,9 @@ class SimulationOracle:
         self._folds = self.metrics.counter("oracle.canonical_folds")
         #: failed evaluations proven statically (no simulation paid).
         self._pruned = self.metrics.counter("oracle.static_oom_pruned")
-        #: candidates rejected because their static lower bound proved
-        #: they cannot beat the incumbent (no simulation paid).
+        #: candidates rejected because their lower bound proved they
+        #: cannot beat the incumbent (never evaluated or counted as
+        #: simulations).
         self._bound_pruned = self.metrics.counter("oracle.bound_pruned")
         #: pruned candidates evaluated after the search because they
         #: could have reached the final-candidate stage.
@@ -595,7 +597,7 @@ class SimulationOracle:
         return bound
 
     def _full_bound(self, bound: _CandidateBound) -> float:
-        """The full-tier value of ``bound``, walking traffic once."""
+        """The full-tier value of ``bound``, running the engine once."""
         if bound.full is None:
             lower = self.bounds.lower_bound(bound.executed)
             bound.full = lower * bound.factor * FLOAT_SAFETY

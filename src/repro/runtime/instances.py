@@ -14,9 +14,11 @@ exchanges included, and repeated readers of a cached instance cost
 nothing — the dedup the paper relies on when co-locating shared
 collections.
 
-The same map serves the executor, the incremental engine and the static
-bound walk (:mod:`repro.analysis.bounds`), so the bound's copy set is
-the executor's by construction.
+The same map serves the executor, the incremental engine and the bound
+analyzer's traffic walk (:mod:`repro.analysis.bounds`), so the traffic
+evidence's copy set is the executor's by construction: no operation
+here decides by time, so a walk that keeps every time at zero issues
+the same copies.
 """
 
 from __future__ import annotations

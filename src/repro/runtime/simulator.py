@@ -96,14 +96,18 @@ class Simulator:
         )
         self._executor = Executor(graph, machine)
         self._planner = MemoryPlanner(graph, machine, memoize=incremental)
-        self._engine: Optional[IncrementalEngine] = (
+        #: The incremental engine untraced runs go through (``None``
+        #: when ``incremental`` is off).  A tune's bound analyzer runs
+        #: its schedule component on this same engine.
+        self.engine: Optional[IncrementalEngine] = (
             IncrementalEngine(graph, machine) if incremental else None
         )
         #: Incremental-effectiveness counters (all-zero when the engine
-        #: is disabled).  Kept out of the oracle's metrics registry so
+        #: is disabled); they count the bound analyzer's runs on the
+        #: engine too.  Kept out of the oracle's metrics registry so
         #: checkpoints stay byte-identical across the two modes.
         self.incremental_stats: IncrementalStats = (
-            self._engine.stats if self._engine else IncrementalStats()
+            self.engine.stats if self.engine else IncrementalStats()
         )
         self._cache: Dict[tuple, SimResult] = {}
         #: Memoised spill resolutions (successful plans only, so the
@@ -144,8 +148,8 @@ class Simulator:
                 if not self.config.spill:
                     self.oom_attempts += 1
                 raise
-            if self._engine is not None:
-                report = self._engine.run(executed)
+            if self.engine is not None:
+                report = self.engine.run(executed)
             else:
                 report = self._executor.run(executed)
             cached = SimResult(

@@ -247,7 +247,7 @@ class CoordinateDescent(SearchAlgorithm):
         differ, but any fixed order is a correct strict-improvement
         walk, and one sort keeps the analyzer cost linear in the
         move-set.  Ranks by the analyzer's *quick* bound (critical path
-        and load, no traffic walk): ordering only needs relative
+        and load, no engine run): ordering only needs relative
         ranking, so the cheap bound buys the same reordering benefit at
         a fraction of the analyzer time."""
         if self.bound_analyzer is None or len(moves) <= 1:

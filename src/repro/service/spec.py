@@ -33,6 +33,7 @@ from repro.machine.builders import MACHINE_ZOO
 __all__ = [
     "JobSpec",
     "MAX_NODES",
+    "MAX_WORKERS",
     "SEMANTIC_FIELDS",
     "EXECUTION_FIELDS",
     "spec_json_bytes",
@@ -44,6 +45,11 @@ _FORMAT = "automap-job-v1"
 #: (helix, 24 nodes).  Submission routes every ordered memory pair of
 #: the machine, so its cost grows steeply with the node count.
 MAX_NODES = 24
+
+#: Largest worker-process count a job may ask for.  The tune's process
+#: pool forks every worker at its first batch inside the service
+#: process, so an unbounded count is a fork bomb.
+MAX_WORKERS = 32
 
 #: Fields that enter the workload fingerprint (via the materialised
 #: graph/machine for the app/machine ones, directly for the rest).
@@ -127,8 +133,8 @@ class JobSpec:
             raise ValueError(f"nodes must be between 1 and {MAX_NODES}")
         if not isinstance(self.machine_params, dict):
             raise ValueError("machine_params must be an object")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
         if self.max_suggestions < 1:
             raise ValueError("max_suggestions must be >= 1")
         if not math.isfinite(self.noise_sigma):

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.bounds import StaticBoundAnalyzer
+from repro.analysis.bounds import FLOAT_SAFETY, StaticBoundAnalyzer
 from repro.apps import make_app
 from repro.machine import lassen, shepard
 from repro.machine.model import Machine
@@ -107,6 +107,12 @@ def test_lower_bound_never_exceeds_makespan(app_name, machine_name):
         assert bd.communication <= result.makespan
         assert bd.schedule <= result.makespan
         assert bd.communication >= bd.communication_incident
+        # The schedule component is the simulated makespan, deflated
+        # once; the traffic evidence never exceeds it, and the pruning
+        # bound is the breakdown's total.
+        assert bd.schedule == result.makespan * FLOAT_SAFETY
+        assert bd.communication <= bd.schedule
+        assert analyzer.lower_bound(result.executed_mapping) == bd.total
         checked += 1
     assert checked == MAPPINGS_PER_CASE + 1
 

@@ -18,6 +18,7 @@ import pytest
 from repro.mapping.io import mapping_to_doc
 from repro.service import JobSpec, JobState, MappingService, make_server
 from repro.service.http import MAX_BODY_BYTES, _Handler
+from repro.service.spec import MAX_WORKERS
 from repro.service.store import JOB_FILENAME
 
 SPEC = {"app": "stencil", "max_suggestions": 40, "checkpoint_every": 1}
@@ -220,6 +221,12 @@ class TestErrorPaths:
         )
         assert status == 400
         assert "bogus" in doc["error"]
+
+    def test_too_many_workers_is_400(self, service_url):
+        spec = dict(SPEC, workers=MAX_WORKERS + 1)
+        status, doc = _post(f"{service_url}/jobs", spec)
+        assert status == 400
+        assert "workers must be between" in doc["error"]
 
     def test_malformed_json_is_400(self, service_url):
         request = urllib.request.Request(

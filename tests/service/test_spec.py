@@ -7,6 +7,7 @@ import pytest
 from repro.service.spec import (
     EXECUTION_FIELDS,
     MAX_NODES,
+    MAX_WORKERS,
     SEMANTIC_FIELDS,
     JobSpec,
 )
@@ -63,6 +64,12 @@ class TestValidation:
         assert spec.nodes == MAX_NODES
         with pytest.raises(ValueError, match="nodes"):
             JobSpec.from_doc({"app": "stencil", "nodes": MAX_NODES + 1})
+
+    def test_worker_count_is_bounded(self):
+        spec = JobSpec.from_doc({"app": "stencil", "workers": MAX_WORKERS})
+        assert spec.workers == MAX_WORKERS
+        with pytest.raises(ValueError, match="workers"):
+            JobSpec.from_doc({"app": "stencil", "workers": MAX_WORKERS + 1})
 
     def test_unknown_doc_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown job-spec field"):
