@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Span
 from repro.analysis.routing import routing_model
-from repro.machine.kinds import ADDRESSABLE, MemKind, ProcKind
+from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import Machine
 from repro.mapping.mapping import Mapping
 from repro.runtime.copies import DMA_EFFICIENCY
@@ -728,17 +728,6 @@ class StaticBoundAnalyzer:
         return found
 
 
-def _legalize_kind(space, mapping: Mapping, kind_name: str) -> Mapping:
-    """Reset slots the decision's processor kind cannot address to the
-    fastest addressable kind (mirrors the search's legalisation)."""
-    decision = mapping.decision(kind_name)
-    fastest = space.dims(kind_name).mem_options[decision.proc_kind][0]
-    for slot_index, mem_kind in enumerate(decision.mem_kinds):
-        if (decision.proc_kind, mem_kind) not in ADDRESSABLE:
-            mapping = mapping.with_mem(kind_name, slot_index, fastest)
-    return mapping
-
-
 def bound_guided_mapping(space, analyzer: StaticBoundAnalyzer) -> Mapping:
     """A statically bound-guided starting mapping for the search.
 
@@ -765,11 +754,9 @@ def bound_guided_mapping(space, analyzer: StaticBoundAnalyzer) -> Mapping:
                 for mem_kind in space.searched_mem_options(
                     kind_name, proc_kind, slot_index
                 ):
-                    candidate = mapping.with_proc(kind_name, proc_kind)
-                    candidate = candidate.with_mem(
-                        kind_name, slot_index, mem_kind
+                    candidate = space.placement_move(
+                        mapping, kind_name, proc_kind, slot_index, mem_kind
                     )
-                    candidate = _legalize_kind(space, candidate, kind_name)
                     bound = analyzer.quick_bound(candidate)
                     if bound < best:
                         mapping, best = candidate, bound

@@ -6,6 +6,14 @@ task graph.  Search algorithms explore the space through the functional
 update helpers (``with_*``), which share unchanged decisions — mappings
 are cheap to copy and safe to keep in a profiles database keyed by
 :meth:`Mapping.key`.
+
+A mapping built from a dict sorts its kind names once and indexes them
+by position; every mapping derived from it through ``with_*`` shares
+that sorted tuple and index.  An update copies the decision dict and
+derives the key by replacing the changed kinds' entries in the parent's
+key tuple, so a candidate costs what changed in it rather than a re-sort
+and a walk over every kind's key.  Iteration, :meth:`Mapping.items` and
+:meth:`Mapping.kind_names` follow the shared sorted order.
 """
 
 from __future__ import annotations
@@ -21,15 +29,20 @@ __all__ = ["Mapping"]
 class Mapping:
     """An immutable mapping: task kind name → :class:`MappingDecision`."""
 
-    __slots__ = ("_decisions", "_key")
+    __slots__ = ("_decisions", "_names", "_index", "_key")
 
     def __init__(self, decisions: TMapping[str, MappingDecision]) -> None:
         if not decisions:
             raise ValueError("a mapping must cover at least one task kind")
         self._decisions: Dict[str, MappingDecision] = dict(decisions)
+        #: Kind names in sorted order, and each name's position in it;
+        #: shared by every mapping derived from this one.
+        self._names: Tuple[str, ...] = tuple(sorted(self._decisions))
+        self._index: Dict[str, int] = {
+            name: position for position, name in enumerate(self._names)
+        }
         self._key: Tuple = tuple(
-            (name, self._decisions[name].key())
-            for name in sorted(self._decisions)
+            (name, self._decisions[name].key()) for name in self._names
         )
 
     # ------------------------------------------------------------------
@@ -43,27 +56,49 @@ class Mapping:
         return kind_name in self._decisions
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._decisions))
+        return iter(self._names)
 
     def __len__(self) -> int:
         return len(self._decisions)
 
     def kind_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._decisions))
+        return self._names
 
     def items(self) -> Iterable[Tuple[str, MappingDecision]]:
-        return ((name, self._decisions[name]) for name in sorted(self._decisions))
+        decisions = self._decisions
+        return ((name, decisions[name]) for name in self._names)
 
     # ------------------------------------------------------------------
     # Functional updates
     # ------------------------------------------------------------------
+    def with_decisions(
+        self, updates: TMapping[str, MappingDecision]
+    ) -> "Mapping":
+        """Copy with the named kinds' whole decisions replaced.
+
+        The copy shares this mapping's kind order and index, and its key
+        is this mapping's key with the replaced kinds' entries swapped."""
+        decisions = dict(self._decisions)
+        key = list(self._key)
+        index = self._index
+        for kind_name, decision in updates.items():
+            position = index.get(kind_name)
+            if position is None:
+                raise KeyError(
+                    f"mapping does not cover task kind {kind_name!r}"
+                )
+            decisions[kind_name] = decision
+            key[position] = (kind_name, decision.key())
+        new = Mapping.__new__(Mapping)
+        new._decisions = decisions
+        new._names = self._names
+        new._index = index
+        new._key = tuple(key)
+        return new
+
     def with_decision(self, kind_name: str, decision: MappingDecision) -> "Mapping":
         """Copy with one kind's whole decision replaced."""
-        if kind_name not in self._decisions:
-            raise KeyError(f"mapping does not cover task kind {kind_name!r}")
-        new = dict(self._decisions)
-        new[kind_name] = decision
-        return Mapping(new)
+        return self.with_decisions({kind_name: decision})
 
     def with_distribute(self, kind_name: str, distribute: bool) -> "Mapping":
         return self.with_decision(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.machine.kinds import MemKind, ProcKind
+from repro.machine.kinds import ADDRESSABLE, MemKind, ProcKind
 from repro.machine.model import Machine
 from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
@@ -152,6 +152,49 @@ class SearchSpace:
         :meth:`prune_infeasible`.
         """
         return self._dims[kind_name]
+
+    def legal_mems(
+        self,
+        kind_name: str,
+        proc_kind: ProcKind,
+        mem_kinds: Sequence[MemKind],
+    ) -> Tuple[MemKind, ...]:
+        """Constraint (1) for one kind: ``mem_kinds`` with every slot
+        ``proc_kind`` cannot address reset to the fastest memory kind it
+        can (the runtime's deterministic legalisation)."""
+        for mem_kind in mem_kinds:
+            if (proc_kind, mem_kind) not in ADDRESSABLE:
+                break
+        else:
+            return tuple(mem_kinds)
+        fastest = self._dims[kind_name].mem_options[proc_kind][0]
+        return tuple(
+            mem_kind if (proc_kind, mem_kind) in ADDRESSABLE else fastest
+            for mem_kind in mem_kinds
+        )
+
+    def placement_move(
+        self,
+        mapping: Mapping,
+        kind_name: str,
+        proc_kind: ProcKind,
+        slot_index: int,
+        mem_kind: MemKind,
+    ) -> Mapping:
+        """``mapping`` with ``kind_name`` on ``proc_kind`` and its slot
+        ``slot_index`` on ``mem_kind`` (Alg. 1 line 16), the kind's other
+        slots legalised by :meth:`legal_mems`."""
+        decision = mapping.decision(kind_name)
+        mems = list(decision.mem_kinds)
+        mems[slot_index] = mem_kind
+        return mapping.with_decision(
+            kind_name,
+            MappingDecision(
+                distribute=decision.distribute,
+                proc_kind=proc_kind,
+                mem_kinds=self.legal_mems(kind_name, proc_kind, mems),
+            ),
+        )
 
     def searched_distribute_options(self, kind_name: str) -> Tuple[bool, ...]:
         """Distribute options the search should enumerate for a kind."""

@@ -384,6 +384,11 @@ class IncrementalEngine:
             dirty = 0
         else:
             dirty = self._dirty_index(mapping)
+        # Set again when this run completes.  A run that raises (an
+        # unaddressable memory, an unroutable copy) has stored snapshots
+        # of its own prefix; without a base the next run starts from
+        # index 0 and discards them.
+        self._base = None
 
         # Deepest usable snapshot at-or-before the dirty index.  The
         # state there is bitwise-identical between the previous and the

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.machine.kinds import ADDRESSABLE
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
 from repro.search.base import (
@@ -163,19 +162,19 @@ class CoordinateDescent(SearchAlgorithm):
             slot_index=None,
             mem_kind=None,
         ) -> Mapping:
-            candidate = m.with_proc(kind_name, proc_kind)
-            candidate = candidate.with_mem(kind_name, slot_index, mem_kind)
             if colgraph is not None:
                 return apply_colocation_constraints(
                     space,
                     colgraph,
-                    candidate,
+                    m,
                     kind_name,
                     slot_index,
                     proc_kind,
                     mem_kind,
                 )
-            return self._legalize_kind(space, candidate, kind_name)
+            return space.placement_move(
+                m, kind_name, proc_kind, slot_index, mem_kind
+            )
 
         moves: List[Callable[[Mapping], Mapping]] = []
         slot_order = self.ordered_slots(space, kind_name)
@@ -205,42 +204,60 @@ class CoordinateDescent(SearchAlgorithm):
         """Serially test each move against the incumbent, keeping strict
         improvements (TestMapping, Alg. 1 lines 20-24).
 
-        When the oracle supports batching, the move-set built from the
-        incumbent is prefetched so the serial walk mostly hits the cache;
-        an accepted move invalidates the speculation for the remaining
-        moves, so the tail is re-prefetched from the new incumbent.  The
-        walk itself — and therefore the result and every search
-        statistic — is independent of whether prefetching happened.
+        Each candidate is built once per incumbent: the candidates
+        ``_order_moves`` built to rank the moves are tested until the
+        first accept, and after an accept only the remaining tail is
+        rebuilt, from the new incumbent.  When the oracle supports
+        batching, every such list is prefetched, so the serial walk
+        mostly hits the cache.  The walk itself — and therefore the
+        result and every search statistic — is independent of whether
+        prefetching happened.
         """
         if oracle.exhausted:
             return current, performance
-        moves = self._order_moves(moves, current)
+        moves, candidates = self._order_moves(moves, current)
         prefetch = getattr(oracle, "prefetch", None)
         batching = (
             prefetch is not None and getattr(oracle, "batch_size", 1) > 1
         )
         if batching:
-            prefetch([build(current) for build in moves])
+            if candidates is None:
+                candidates = [build(current) for build in moves]
+            prefetch(candidates)
+        # ``candidates[i]`` is move ``offset + i`` built from the
+        # incumbent; with no list, each move is built when tested.
+        offset = 0
         for index, build in enumerate(moves):
             if oracle.exhausted:
                 break
+            if candidates is None:
+                candidate = build(current)
+            else:
+                candidate = candidates[index - offset]
             previous = current
             current, performance = self._test(
-                oracle, build(current), current, performance
+                oracle, candidate, current, performance
             )
-            if batching and current is not previous:
-                prefetch(
-                    [build(current) for build in moves[index + 1 :]]
-                )
+            if current is not previous:
+                candidates = None
+                if batching:
+                    offset = index + 1
+                    candidates = [build(current) for build in moves[offset:]]
+                    prefetch(candidates)
         return current, performance
 
     def _order_moves(
         self,
         moves: List[Callable[[Mapping], Mapping]],
         current: Mapping,
-    ) -> List[Callable[[Mapping], Mapping]]:
+    ) -> Tuple[List[Callable[[Mapping], Mapping]], Optional[List[Mapping]]]:
         """Best-bound-first: stable-sort the move-set by the static
         lower bound of each candidate built from the entry incumbent.
+
+        Returns the moves in visit order and the candidates built to
+        rank them, in the same order, so the descent tests them without
+        building them again; the candidates are ``None`` when nothing
+        was ranked (no analyzer, or at most one move).
 
         Computed once per descent (not re-sorted after accepts): the
         bounds of candidates built from a *better* incumbent would
@@ -251,27 +268,15 @@ class CoordinateDescent(SearchAlgorithm):
         ranking, so the cheap bound buys the same reordering benefit at
         a fraction of the analyzer time."""
         if self.bound_analyzer is None or len(moves) <= 1:
-            return moves
-        analyzer = self.bound_analyzer
-        keyed = sorted(
-            (analyzer.quick_bound(build(current)), index, build)
-            for index, build in enumerate(moves)
-        )
-        return [build for _bound, _index, build in keyed]
-
-    @staticmethod
-    def _legalize_kind(
-        space: SearchSpace, mapping: Mapping, kind_name: str
-    ) -> Mapping:
-        """After a processor-kind move, reset any slot of the kind whose
-        memory kind the new processor cannot address to the fastest
-        addressable kind (the runtime's deterministic legalisation)."""
-        decision = mapping.decision(kind_name)
-        fastest = space.dims(kind_name).mem_options[decision.proc_kind][0]
-        for slot_index, mem_kind in enumerate(decision.mem_kinds):
-            if (decision.proc_kind, mem_kind) not in ADDRESSABLE:
-                mapping = mapping.with_mem(kind_name, slot_index, fastest)
-        return mapping
+            return moves, None
+        quick_bound = self.bound_analyzer.quick_bound
+        keyed = []
+        for index, build in enumerate(moves):
+            candidate = build(current)
+            keyed.append((quick_bound(candidate), index, build, candidate))
+        # Indices are unique, so the sort never compares past them.
+        keyed.sort()
+        return [entry[2] for entry in keyed], [entry[3] for entry in keyed]
 
     @staticmethod
     def _test(

@@ -21,13 +21,19 @@ collection to a single kind (paper §4.2); a generous iteration cap guards
 against implementation bugs rather than algorithmic divergence.  A final
 legalisation sweep guarantees the returned mapping satisfies constraint
 (1) even when variant restrictions make full co-location unsatisfiable.
+
+The propagation edits a draft — the processor kind and memory list of
+each kind it touched, over the unchanged incumbent — and builds one
+:class:`~repro.mapping.mapping.Mapping` at the end, so a move costs the
+kinds it drags along rather than one mapping per adjusted slot.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.machine.kinds import ADDRESSABLE, MemKind, ProcKind
+from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
 from repro.taskgraph.induced import CollectionGraph, SlotRef
@@ -63,6 +69,40 @@ def _fastest_mem(space: SearchSpace, kind_name: str, proc: ProcKind) -> MemKind:
     return space.dims(kind_name).mem_options[proc][0]
 
 
+class _Draft:
+    """Algorithm 2's working copy of a mapping: the processor kind and
+    memory list of every kind it touched, over an unchanged base."""
+
+    __slots__ = ("base", "procs", "mems")
+
+    def __init__(self, base: Mapping) -> None:
+        self.base = base
+        self.procs: Dict[str, ProcKind] = {}
+        self.mems: Dict[str, List[MemKind]] = {}
+
+    def proc(self, kind_name: str) -> ProcKind:
+        proc = self.procs.get(kind_name)
+        if proc is None:
+            return self.base.decision(kind_name).proc_kind
+        return proc
+
+    def mem_kinds(self, kind_name: str) -> Sequence[MemKind]:
+        mems = self.mems.get(kind_name)
+        if mems is None:
+            return self.base.decision(kind_name).mem_kinds
+        return mems
+
+    def set_proc(self, kind_name: str, proc: ProcKind) -> None:
+        self.procs[kind_name] = proc
+
+    def set_mem(self, kind_name: str, slot_index: int, mem: MemKind) -> None:
+        mems = self.mems.get(kind_name)
+        if mems is None:
+            mems = list(self.base.decision(kind_name).mem_kinds)
+            self.mems[kind_name] = mems
+        mems[slot_index] = mem
+
+
 def apply_colocation_constraints(
     space: SearchSpace,
     colgraph: CollectionGraph,
@@ -72,16 +112,19 @@ def apply_colocation_constraints(
     proc_kind: ProcKind,
     mem_kind: MemKind,
 ) -> Mapping:
-    """Propagate co-location constraints after mapping ``(t, c)`` to
-    ``(k, r)`` — Algorithm 2.
+    """The candidate for mapping ``(t, c)`` to ``(k, r)`` from
+    ``mapping``, with co-location constraints propagated — Algorithm 2.
 
-    ``mapping`` must already have ``kind_name`` on ``proc_kind`` and slot
-    ``slot_index`` on ``mem_kind`` (the caller's line 16).  Returns a
-    mapping satisfying constraint (1) globally and constraint (2) as far
-    as task variants allow.
+    The move itself (the caller's line 16: ``kind_name`` on
+    ``proc_kind``, slot ``slot_index`` on ``mem_kind``) is applied
+    first, so ``mapping`` may be the incumbent or already carry it.
+    Returns a mapping satisfying constraint (1) globally and constraint
+    (2) as far as task variants allow.
     """
     origin: SlotRef = (kind_name, slot_index)
-    f = mapping
+    f = _Draft(mapping)
+    f.set_proc(kind_name, proc_kind)
+    f.set_mem(kind_name, slot_index, mem_kind)
     t_check: Set[str] = set()
     c_check: Set[SlotRef] = set()
 
@@ -93,7 +136,7 @@ def apply_colocation_constraints(
         if not space.is_tunable(n_kind):
             continue
         if neighbor != origin:
-            f = f.with_mem(n_kind, n_slot, mem_kind)
+            f.set_mem(n_kind, n_slot, mem_kind)
         t_check.add(n_kind)
 
     steps = 0
@@ -108,14 +151,14 @@ def apply_colocation_constraints(
                     kind_name,
                     slot_index,
                 )
-                return _legalize(space, f)
+                return _build(space, f)
             t_name = min(t_check)
             t_check.discard(t_name)
-            decision = f.decision(t_name)
+            t_proc = f.proc(t_name)
             offending = [
                 (s_index, s_mem)
-                for s_index, s_mem in enumerate(decision.mem_kinds)
-                if (decision.proc_kind, s_mem) not in ADDRESSABLE
+                for s_index, s_mem in enumerate(f.mem_kinds(t_name))
+                if (t_proc, s_mem) not in ADDRESSABLE
             ]
             if not offending:
                 continue
@@ -126,24 +169,18 @@ def apply_colocation_constraints(
             # offending memory (still a single move).
             if t_name != kind_name:
                 options = space.dims(t_name).proc_options
-                if (
-                    proc_kind in options
-                    and decision.proc_kind != proc_kind
-                ):
-                    f = f.with_proc(t_name, proc_kind)
-                    decision = f.decision(t_name)
+                if proc_kind in options and t_proc != proc_kind:
+                    t_proc = proc_kind
+                    f.set_proc(t_name, t_proc)
                 elif proc_kind not in options:
                     new_proc = _choose_proc(
                         space, t_name, offending[0][1], prefer=proc_kind
                     )
-                    if (
-                        new_proc is not None
-                        and new_proc != decision.proc_kind
-                    ):
-                        f = f.with_proc(t_name, new_proc)
-                        decision = f.decision(t_name)
-            for s_index, s_mem in enumerate(decision.mem_kinds):
-                if (decision.proc_kind, s_mem) not in ADDRESSABLE:
+                    if new_proc is not None and new_proc != t_proc:
+                        t_proc = new_proc
+                        f.set_proc(t_name, t_proc)
+            for s_index, s_mem in enumerate(f.mem_kinds(t_name)):
+                if (t_proc, s_mem) not in ADDRESSABLE:
                     c_check.add((t_name, s_index))
 
         # Lines 14-26: collections of moved tasks.
@@ -156,60 +193,63 @@ def apply_colocation_constraints(
                     kind_name,
                     slot_index,
                 )
-                return _legalize(space, f)
+                return _build(space, f)
             slot = min(c_check)
             c_check.discard(slot)
             s_kind, s_index = slot
-            decision = f.decision(s_kind)
-            if (decision.proc_kind, decision.mem_kinds[s_index]) in ADDRESSABLE:
+            s_proc = f.proc(s_kind)
+            s_mem = f.mem_kinds(s_kind)[s_index]
+            if (s_proc, s_mem) in ADDRESSABLE:
                 continue  # already fixed by a task move
             # Line 17: slots overlapping the origin stay pinned at r —
             # unless that pin is what makes them unaddressable and the
             # task cannot move (no suitable variant).
             if colgraph.connected(origin, slot) or slot == origin:
-                rescue = _choose_proc(
-                    space, s_kind, decision.mem_kinds[s_index], prefer=proc_kind
-                )
+                rescue = _choose_proc(space, s_kind, s_mem, prefer=proc_kind)
                 if rescue is not None:
-                    if rescue != decision.proc_kind:
-                        f = f.with_proc(s_kind, rescue)
+                    if rescue != s_proc:
+                        f.set_proc(s_kind, rescue)
                         t_check.add(s_kind)
                     continue
                 # fall through: unpin as a last resort
-            target = _fastest_mem(space, s_kind, decision.proc_kind)
-            f = f.with_mem(s_kind, s_index, target)
+            target = _fastest_mem(space, s_kind, s_proc)
+            f.set_mem(s_kind, s_index, target)
             # Lines 20-26: drag this slot's own neighbourhood along.
             for neighbor in colgraph.neighbors(slot):
                 n_kind, n_slot = neighbor
                 if neighbor == slot or not space.is_tunable(n_kind):
                     continue
-                n_decision = f.decision(n_kind)
-                if n_decision.mem_kinds[n_slot] == target:
+                if f.mem_kinds(n_kind)[n_slot] == target:
                     continue
                 if colgraph.connected(origin, neighbor) or neighbor == origin:
                     continue  # pinned at r
-                f = f.with_mem(n_kind, n_slot, target)
-                if (n_decision.proc_kind, target) not in ADDRESSABLE:
+                f.set_mem(n_kind, n_slot, target)
+                if (f.proc(n_kind), target) not in ADDRESSABLE:
                     t_check.add(n_kind)
                 c_check.discard(neighbor)
 
-    return _legalize(space, f)
+    return _build(space, f)
 
 
-def _legalize(space: SearchSpace, mapping: Mapping) -> Mapping:
-    """Final sweep enforcing constraint (1): any slot still mapped to an
-    unaddressable memory kind moves to the fastest addressable kind.
-    Only searched kinds are touched (fixed kinds are valid by
-    construction)."""
-    f = mapping
+def _build(space: SearchSpace, draft: _Draft) -> Mapping:
+    """Final sweep enforcing constraint (1) — any slot still mapped to an
+    unaddressable memory kind moves to the fastest addressable kind —
+    then one mapping built from the draft.  Only searched kinds are
+    touched (fixed kinds are valid by construction)."""
+    base = draft.base
+    updates: Dict[str, MappingDecision] = {}
     for kind_name in space.kind_names():
-        decision = f.decision(kind_name)
-        for s_index, s_mem in enumerate(decision.mem_kinds):
-            if (decision.proc_kind, s_mem) not in ADDRESSABLE:
-                f = f.with_mem(
-                    kind_name,
-                    s_index,
-                    _fastest_mem(space, kind_name, decision.proc_kind),
-                )
-                decision = f.decision(kind_name)
-    return f
+        decision = base.decision(kind_name)
+        proc = draft.procs.get(kind_name, decision.proc_kind)
+        mems = space.legal_mems(
+            kind_name, proc, draft.mems.get(kind_name, decision.mem_kinds)
+        )
+        if proc != decision.proc_kind or mems != decision.mem_kinds:
+            updates[kind_name] = MappingDecision(
+                distribute=decision.distribute,
+                proc_kind=proc,
+                mem_kinds=mems,
+            )
+    if not updates:
+        return base
+    return base.with_decisions(updates)

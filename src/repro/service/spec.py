@@ -33,6 +33,7 @@ from repro.machine.builders import MACHINE_ZOO
 __all__ = [
     "JobSpec",
     "MAX_NODES",
+    "MAX_SUGGESTIONS",
     "MAX_WORKERS",
     "SEMANTIC_FIELDS",
     "EXECUTION_FIELDS",
@@ -50,6 +51,12 @@ MAX_NODES = 24
 #: pool forks every worker at its first batch inside the service
 #: process, so an unbounded count is a fork bomb.
 MAX_WORKERS = 32
+
+#: Largest suggestion budget, and checkpoint interval, a job may ask
+#: for.  The paper's largest §5.3 run takes 157,202 OpenTuner
+#: suggestions; an unbounded budget holds a service worker
+#: indefinitely.
+MAX_SUGGESTIONS = 200_000
 
 #: Fields that enter the workload fingerprint (via the materialised
 #: graph/machine for the app/machine ones, directly for the rest).
@@ -135,14 +142,18 @@ class JobSpec:
             raise ValueError("machine_params must be an object")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
-        if self.max_suggestions < 1:
-            raise ValueError("max_suggestions must be >= 1")
+        if not 1 <= self.max_suggestions <= MAX_SUGGESTIONS:
+            raise ValueError(
+                f"max_suggestions must be between 1 and {MAX_SUGGESTIONS}"
+            )
         if not math.isfinite(self.noise_sigma):
             raise ValueError("noise_sigma must be finite")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
+        if not 0 <= self.checkpoint_every <= MAX_SUGGESTIONS:
+            raise ValueError(
+                f"checkpoint_every must be between 0 and {MAX_SUGGESTIONS}"
+            )
 
     # ------------------------------------------------------------------
     def to_doc(self) -> dict:

@@ -18,7 +18,7 @@ import pytest
 from repro.mapping.io import mapping_to_doc
 from repro.service import JobSpec, JobState, MappingService, make_server
 from repro.service.http import MAX_BODY_BYTES, _Handler
-from repro.service.spec import MAX_WORKERS
+from repro.service.spec import MAX_SUGGESTIONS, MAX_WORKERS
 from repro.service.store import JOB_FILENAME
 
 SPEC = {"app": "stencil", "max_suggestions": 40, "checkpoint_every": 1}
@@ -227,6 +227,14 @@ class TestErrorPaths:
         status, doc = _post(f"{service_url}/jobs", spec)
         assert status == 400
         assert "workers must be between" in doc["error"]
+
+    def test_oversized_budget_is_400(self, service_url):
+        spec = dict(SPEC, algorithm="opentuner", max_suggestions=10**12)
+        status, doc = _post(f"{service_url}/jobs", spec)
+        assert status == 400
+        assert f"max_suggestions must be between 1 and {MAX_SUGGESTIONS}" in (
+            doc["error"]
+        )
 
     def test_malformed_json_is_400(self, service_url):
         request = urllib.request.Request(

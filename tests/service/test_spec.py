@@ -7,6 +7,7 @@ import pytest
 from repro.service.spec import (
     EXECUTION_FIELDS,
     MAX_NODES,
+    MAX_SUGGESTIONS,
     MAX_WORKERS,
     SEMANTIC_FIELDS,
     JobSpec,
@@ -70,6 +71,13 @@ class TestValidation:
         assert spec.workers == MAX_WORKERS
         with pytest.raises(ValueError, match="workers"):
             JobSpec.from_doc({"app": "stencil", "workers": MAX_WORKERS + 1})
+
+    @pytest.mark.parametrize("field", ["max_suggestions", "checkpoint_every"])
+    def test_budget_and_checkpoint_interval_are_bounded(self, field):
+        spec = JobSpec.from_doc({"app": "stencil", field: MAX_SUGGESTIONS})
+        assert getattr(spec, field) == MAX_SUGGESTIONS
+        with pytest.raises(ValueError, match=field):
+            JobSpec.from_doc({"app": "stencil", field: MAX_SUGGESTIONS + 1})
 
     def test_unknown_doc_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown job-spec field"):

@@ -17,10 +17,12 @@ import pytest
 from repro.apps import make_app
 from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import lassen, shepard
-from repro.machine.kinds import ADDRESSABLE
+from repro.machine.kinds import ADDRESSABLE, MemKind
 from repro.mapping import SearchSpace
 from repro.obs.trace import diff_traces
 from repro.runtime import SimConfig, Simulator
+from repro.runtime.executor import Executor
+from repro.runtime.incremental import IncrementalEngine
 from repro.runtime.memory import MemoryPlanner, OOMError
 from repro.runtime.noise import NoiseModel
 from repro.util.rng import RngStream
@@ -255,3 +257,28 @@ def test_tune_identity(app_name):
     assert inc.simulations == full.simulations
     diff = diff_traces(inc.trace, full.trace)
     assert diff.identical, diff.render()
+
+
+def test_failed_run_leaves_no_stale_snapshots():
+    """A run that raises part-way has snapshotted its own prefix; the
+    next run must not restore one of those snapshots.  The failing
+    mapping changes ``calc_new_currents`` (which runs first) and puts
+    ``update_voltages`` on memory the GPU cannot address, so it raises
+    after snapshotting at ``update_voltages``' first launch — where the
+    next mapping's dirty index points."""
+    machine = shepard(2)
+    app = make_app("circuit", nodes=40, wires=160, iterations=2)
+    graph = app.graph(machine)
+    default = app.space(machine).default_mapping()
+    failing = default.with_mem(
+        "calc_new_currents", 0, MemKind.ZERO_COPY
+    ).with_mem("update_voltages", 0, MemKind.SYSTEM)
+    moved = default.with_mem("update_voltages", 0, MemKind.ZERO_COPY)
+
+    engine = IncrementalEngine(graph, machine)
+    engine.run(default)
+    with pytest.raises(ValueError, match="cannot address"):
+        engine.run(failing)
+    assert _report_tuple(engine.run(moved)) == _report_tuple(
+        Executor(graph, machine).run(moved)
+    )
