@@ -9,8 +9,8 @@ in microseconds.  This package is that pre-simulation pruning layer:
 * :mod:`~repro.analysis.validity` — the single kind-level validity
   checker (constraint 1) shared by the mapping validator, the oracle,
   and the parallel workers;
-* :mod:`~repro.analysis.memfeas` — a liveness-based per-memory footprint
-  bound that proves out-of-memory without simulating, short-circuits the
+* :mod:`~repro.analysis.memfeas` — proves out-of-memory without
+  simulating (the runtime memory planner's own check), short-circuits the
   oracle, and marks provably-dead search coordinates;
 * :mod:`~repro.analysis.canonical` — equivalence canonicalization:
   coordinates that provably cannot affect simulated runtime are folded

@@ -8,9 +8,9 @@ cannot win:
 * **critical path** — the longest dependence chain, each launch priced
   at its best-case per-point duration on the chosen processor kind
   (fastest processor, cheapest access links) times the unavoidable
-  serialisation factor ``ceil(points-per-node / pool-size)``;
+  serialisation factor: the most points any one processor runs;
 * **load** — for every concrete processor, the total best-case busy
-  time of the point tasks round-robin placement provably assigns to it;
+  time of the point tasks placed on it;
 * **schedule** — the makespan of the tune's own
   :class:`~repro.runtime.incremental.IncrementalEngine` run on the
   mapping, deflated once by :data:`FLOAT_SAFETY`.
@@ -24,6 +24,10 @@ noise draw, no search-clock charge, no ``simulations`` count), but its
 makespan is the simulated one bit for bit — the engine's identity
 contract — so ``schedule`` is below the makespan by exactly the
 deflation.
+
+Both count each processor's points from the runtime placer's own table
+(:meth:`repro.runtime.placement.Placer.point_procs`, read through the
+engine), so they see exactly the executor's assignment.
 
 ``LB = max(critical path, load, schedule)``, and the soundness contract
 (see DESIGN.md) is that ``LB(mapping) <= Simulator.run(mapping).makespan``
@@ -178,14 +182,6 @@ class StaticBoundAnalyzer:
             if lat is None or link.latency < lat:
                 self._min_latency[shape] = link.latency
 
-        self._pool_size: Dict[Tuple[ProcKind, int], int] = {}
-        self._pools: Dict[Tuple[ProcKind, int], List[str]] = {}
-        for pk in machine.proc_kinds():
-            for node in range(machine.num_nodes):
-                procs = machine.processors_of_kind(pk, node)
-                self._pool_size[(pk, node)] = len(procs)
-                self._pools[(pk, node)] = [p.uid for p in procs]
-
         #: DMA bandwidth aggregate over each memory's incident channels.
         self._channel_bw: Dict[str, float] = {}
         for mem in machine.memories:
@@ -197,7 +193,7 @@ class StaticBoundAnalyzer:
         self._routing = routing_model(machine)
 
         # Caches (all keyed on deterministic values).
-        self._node_count_cache: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
+        self._proc_count_cache: Dict[Tuple, Tuple] = {}
         self._duration_cache: Dict[Tuple, float] = {}
         self._best_duration_cache: Dict[int, Tuple[float, int]] = {}
         self._breakdown_cache: Dict[Tuple, BoundBreakdown] = {}
@@ -212,37 +208,25 @@ class StaticBoundAnalyzer:
     # ------------------------------------------------------------------
     # Structural helpers
     # ------------------------------------------------------------------
-    def _node_counts(self, size: int, distribute: bool) -> Tuple[int, ...]:
-        """Point tasks per node under the blocked split (placer mirror)."""
-        key = (size, distribute)
-        counts = self._node_count_cache.get(key)
-        if counts is None:
-            nodes = self.machine.num_nodes
-            if not distribute:
-                counts = (size,) + (0,) * (nodes - 1)
-            else:
-                # |{i : i*N//S == n}| = ceil((n+1)S/N) - ceil(nS/N),
-                # with -ceil(a/b) spelled floor(-a/b) for int arithmetic.
-                counts = tuple(
-                    -(-(n + 1) * size // nodes) + (-n * size // nodes)
-                    for n in range(nodes)
-                )
-            self._node_count_cache[key] = counts
-        return counts
-
-    def _serial_factor(
-        self, launch: TaskLaunch, distribute: bool, pk: ProcKind
-    ) -> int:
-        """Max points any single processor provably runs serially."""
-        factor = 0
-        for node, cnt in enumerate(self._node_counts(launch.size, distribute)):
-            if cnt == 0:
-                continue
-            pool = self._pool_size.get((pk, node), 0)
-            if pool == 0:
-                continue  # invalid option; contribute nothing (sound)
-            factor = max(factor, -(-cnt // pool))
-        return factor
+    def _proc_counts(
+        self, size: int, distribute: bool, pk: ProcKind
+    ) -> Tuple[Tuple[Tuple[str, int], ...], int]:
+        """``((processor uid, points), ...)`` over the processors the
+        placer gives points of a ``size``-point launch, and the serial
+        factor: the most points any one of them runs.  Points on a node
+        without a ``pk`` processor are skipped (an invalid option
+        contributes nothing, which is sound)."""
+        key = (size, distribute, pk)
+        cached = self._proc_count_cache.get(key)
+        if cached is None:
+            counts: Dict[str, int] = {}
+            placer = self.engine.costs.placer
+            for proc in placer.point_procs(size, distribute, pk):
+                if proc is not None:
+                    counts[proc.uid] = counts.get(proc.uid, 0) + 1
+            cached = (tuple(counts.items()), max(counts.values(), default=0))
+            self._proc_count_cache[key] = cached
+        return cached
 
     def _point_duration(
         self,
@@ -338,7 +322,7 @@ class StaticBoundAnalyzer:
             if best_d is None or duration < best_d:
                 best_d = duration
             for distribute in (False, True):
-                factor = self._serial_factor(launch, distribute, pk)
+                factor = self._proc_counts(launch.size, distribute, pk)[1]
                 if best_m is None or factor < best_m:
                     best_m = factor
         result = (best_d or 0.0, best_m or 0)
@@ -375,30 +359,15 @@ class StaticBoundAnalyzer:
                 if duration is None:  # invalid decision; price at best
                     duration, factor = self._best_option(launch)
                 else:
-                    factor = self._serial_factor(
-                        launch, decision.distribute, decision.proc_kind
+                    counts, factor = self._proc_counts(
+                        launch.size, decision.distribute, decision.proc_kind
                     )
                     if not partial:
-                        counts = self._node_counts(
-                            launch.size, decision.distribute
-                        )
-                        for node, cnt in enumerate(counts):
-                            if cnt == 0:
-                                continue
-                            pool = self._pools.get(
-                                (decision.proc_kind, node), []
-                            )
-                            if not pool:
-                                continue
-                            size = len(pool)
-                            for j, proc_uid in enumerate(pool):
-                                assigned = (cnt + size - 1 - j) // size
-                                if assigned == 0:
-                                    break
-                                acc = busy.get(proc_uid, 0.0)
-                                for _ in range(assigned):
-                                    acc += duration
-                                busy[proc_uid] = acc
+                        for proc_uid, assigned in counts:
+                            acc = busy.get(proc_uid, 0.0)
+                            for _ in range(assigned):
+                                acc += duration
+                            busy[proc_uid] = acc
             else:
                 duration, factor = self._best_option(launch)
             acc = ready

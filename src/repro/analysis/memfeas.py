@@ -4,35 +4,34 @@ The paper's oracle contract (§3.1) lets a kind-valid mapping "fail at
 runtime if a collection assignment exceeds the capacity of the physical
 memory"; §5.2's memory-constrained searches then burn a full
 discrete-event simulation per doomed candidate just to observe the OOM.
-This pass proves the same out-of-memory outcome statically, and exactly:
-it computes the very footprint :meth:`repro.runtime.memory.MemoryPlanner
-.check` would compute, without building a simulator.
+This pass proves the same out-of-memory outcome without a simulation,
+and exactly: it runs the runtime's own footprint check,
+:meth:`repro.runtime.memory.MemoryPlanner.ensure_fits`, so a proven OOM
+carries the very reason string the runtime would raise.  In a tune the
+planner is the simulator's own, so proofs and simulations share one
+footprint cache.
 
-The key observation is that the placement function is *factored* the
-same way the search space is (§3.2).  For a launch of kind ``k``, the
-concrete processor of point ``i`` depends only on the kind's
-``(distribute, proc_kind)`` choice, and the concrete memory of slot
-``s`` is ``closest(proc_i, mem_kind_s)`` — a function of that processor
-and the slot's own memory-kind choice.  Therefore the byte intervals a
-slot contributes to each ``(concrete memory, root index space)`` pair
-depend only on the tuple ``(kind, distribute, proc_kind, slot,
-mem_kind)`` and can be precomputed per *option* rather than per
-*mapping*.  A mapping's footprint is the union of its options'
-contributions, and unions are order-independent — so the static check
-equals the planner's check bit for bit.
-
-Because footprint unions are monotone, a single option whose own
-contribution already overflows some memory can never appear in any
-feasible mapping with the same ``(distribute, proc)`` choice; an option
-dead under *every* distribute choice is a provably-dead search
-coordinate (rule ``AM101``) that
+Dead search coordinates need a finer grain.  The placement function is
+*factored* the same way the search space is (§3.2): for a launch of
+kind ``k``, the concrete processor of point ``i`` depends only on the
+kind's ``(distribute, proc_kind)`` choice (the placer's table,
+:meth:`repro.runtime.placement.Placer.point_procs`), and the concrete
+memory of slot ``s`` is ``closest(proc_i, mem_kind_s)`` — a function of
+that processor and the slot's own memory-kind choice.  Therefore the
+byte intervals a slot contributes to each ``(concrete memory, root
+index space)`` pair depend only on the tuple ``(kind, distribute,
+proc_kind, slot, mem_kind)`` and can be computed per *option* rather
+than per *mapping*, from the planner's placer.  A mapping's footprint
+is the union of its options' contributions, and unions are monotone, so
+a single option whose own contribution already overflows some memory
+can never appear in any feasible mapping with the same ``(distribute,
+proc)`` choice; an option dead under *every* distribute choice is a
+provably-dead search coordinate (rule ``AM101``) that
 :meth:`repro.mapping.space.SearchSpace.prune_infeasible` removes from
 move enumeration.
 
-Instances are memoized aggressively: per-option contributions, per-launch
-point->processor assignments, and per-mapping verdicts (keyed by
-``mapping.key()``), so oracle-side checks are amortized O(kinds x slots)
-dictionary unions.
+Per-option contributions and per-mapping verdicts (keyed by
+``mapping.key()``) are memoized.
 """
 
 from __future__ import annotations
@@ -42,11 +41,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.analysis.diagnostics import Diagnostic, Span
 from repro.machine.kinds import MemKind, ProcKind
 from repro.runtime.intervals import IntervalSet
-from repro.runtime.memory import MemoryDemand
+from repro.runtime.memory import MemoryPlanner, OOMError
 from repro.util.units import format_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.model import Machine, Memory, Processor
+    from repro.machine.model import Machine
     from repro.mapping.mapping import Mapping
     from repro.mapping.space import SearchSpace
     from repro.taskgraph.graph import TaskGraph
@@ -60,30 +59,37 @@ _Contribution = Dict[Tuple[str, str], IntervalSet]
 
 
 class StaticMemoryFeasibility:
-    """Exact static reimplementation of the memory planner's footprint
-    check, factored per search-space option for memoization and dead
-    coordinate detection."""
+    """Static OOM proofs, from the runtime planner's own footprint
+    check, and per-option footprint contributions, from its placer.
 
-    def __init__(self, graph: "TaskGraph", machine: "Machine") -> None:
+    ``planner`` is the memory planner the proofs run on.  A tune passes
+    its simulator's own
+    (:attr:`~repro.runtime.simulator.Simulator.planner`), so a proof and
+    the simulation that follows share one footprint cache; that is safe
+    because a footprint is a pure function of the mapping.  Without one,
+    the pass builds a private memoizing planner.
+    """
+
+    def __init__(
+        self,
+        graph: "TaskGraph",
+        machine: "Machine",
+        planner: Optional[MemoryPlanner] = None,
+    ) -> None:
         self.graph = graph
         self.machine = machine
+        self.planner = (
+            planner
+            if planner is not None
+            else MemoryPlanner(graph, machine, memoize=True)
+        )
         self._capacity: Dict[str, int] = {
             mem.uid: mem.capacity for mem in machine.memories
         }
-        self._procs_by_kind_node: Dict[Tuple[ProcKind, int], List["Processor"]] = {}
-        for kind in machine.proc_kinds():
-            for node in range(machine.num_nodes):
-                self._procs_by_kind_node[(kind, node)] = (
-                    machine.processors_of_kind(kind, node)
-                )
         self._launches_by_kind: Dict[str, List["TaskLaunch"]] = {}
         for launch in graph.launches:
             self._launches_by_kind.setdefault(launch.kind.name, []).append(launch)
 
-        self._closest_cache: Dict[Tuple[str, MemKind], "Memory"] = {}
-        self._point_proc_cache: Dict[
-            Tuple[str, bool, ProcKind], Tuple["Processor", ...]
-        ] = {}
         self._contrib_cache: Dict[
             Tuple[str, bool, ProcKind, int, MemKind], _Contribution
         ] = {}
@@ -93,82 +99,8 @@ class StaticMemoryFeasibility:
         self.cache_hits = 0
 
     # ------------------------------------------------------------------
-    # Placement mirrors (must match repro.runtime.placement.Placer)
-    # ------------------------------------------------------------------
-    def _closest(self, proc: "Processor", mem_kind: MemKind) -> "Memory":
-        key = (proc.uid, mem_kind)
-        mem = self._closest_cache.get(key)
-        if mem is None:
-            found = self.machine.closest_memory(proc, mem_kind)
-            if found is None:
-                raise ValueError(
-                    f"processor {proc.uid} cannot address any "
-                    f"{mem_kind.value} memory (run the validity check "
-                    f"before the feasibility pass)"
-                )
-            mem = found
-            self._closest_cache[key] = mem
-        return mem
-
-    def _point_procs(
-        self, launch: "TaskLaunch", distribute: bool, proc_kind: ProcKind
-    ) -> Tuple["Processor", ...]:
-        """Processor executing each point of ``launch``, mirroring
-        :meth:`Placer.place_launch`'s blocked split + round-robin."""
-        key = (launch.uid, distribute, proc_kind)
-        cached = self._point_proc_cache.get(key)
-        if cached is not None:
-            return cached
-        num_nodes = self.machine.num_nodes
-        procs: List["Processor"] = []
-        rr_counters: Dict[int, int] = {}
-        for point in range(launch.size):
-            node = point * num_nodes // launch.size if distribute else 0
-            pool = self._procs_by_kind_node.get((proc_kind, node), [])
-            if not pool:
-                raise ValueError(
-                    f"no {proc_kind.value} processors on node {node}"
-                )
-            index = rr_counters.get(node, 0)
-            rr_counters[node] = index + 1
-            procs.append(pool[index % len(pool)])
-        out = tuple(procs)
-        self._point_proc_cache[key] = out
-        return out
-
-    # ------------------------------------------------------------------
     # Per-option contributions
     # ------------------------------------------------------------------
-    def _slot_contribution(
-        self,
-        kind_name: str,
-        distribute: bool,
-        proc_kind: ProcKind,
-        slot_index: int,
-        mem_kind: MemKind,
-    ) -> _Contribution:
-        """Byte intervals this option adds to each (memory, root)."""
-        key = (kind_name, distribute, proc_kind, slot_index, mem_kind)
-        cached = self._contrib_cache.get(key)
-        if cached is not None:
-            return cached
-        out: _Contribution = {}
-        for launch in self._launches_by_kind.get(kind_name, ()):
-            procs = self._point_procs(launch, distribute, proc_kind)
-            root = launch.args[slot_index].root
-            assert root is not None
-            for point, proc in enumerate(procs):
-                lo, hi = launch.shard_interval(
-                    slot_index, point, for_write=False
-                )
-                if hi <= lo:
-                    continue
-                mem_uid = self._closest(proc, mem_kind).uid
-                current = out.get((mem_uid, root), IntervalSet.empty())
-                out[(mem_uid, root)] = current.union(IntervalSet.single(lo, hi))
-        self._contrib_cache[key] = out
-        return out
-
     def slot_contribution(
         self,
         kind_name: str,
@@ -177,17 +109,43 @@ class StaticMemoryFeasibility:
         slot_index: int,
         mem_kind: MemKind,
     ) -> _Contribution:
-        """Public read access to the per-option contribution table.
+        """Byte intervals this option adds to each (memory, root).
 
         The equivalence prover (:mod:`repro.analysis.equivalence`) unions
         these per-option contributions over *every* reachable option to
         obtain the exact static footprint upper bound; raising
-        ``ValueError`` here means the option is unreachable (no processor
-        pool / unaddressable memory) and contributes nothing.
+        ``ValueError`` here means the option is unreachable (a point's
+        node has no processor of ``proc_kind``, or the processor cannot
+        address ``mem_kind``) and contributes nothing.
         """
-        return self._slot_contribution(
-            kind_name, distribute, proc_kind, slot_index, mem_kind
-        )
+        key = (kind_name, distribute, proc_kind, slot_index, mem_kind)
+        cached = self._contrib_cache.get(key)
+        if cached is not None:
+            return cached
+        placer = self.planner.placer
+        out: _Contribution = {}
+        for launch in self._launches_by_kind.get(kind_name, ()):
+            procs = placer.point_procs(launch.size, distribute, proc_kind)
+            if None in procs:
+                node = placer.node_of_point(
+                    launch.size, distribute, procs.index(None)
+                )
+                raise ValueError(
+                    f"no {proc_kind.value} processors on node {node}"
+                )
+            root = launch.args[slot_index].root
+            assert root is not None
+            for point, proc in enumerate(procs):
+                lo, hi = launch.shard_interval(
+                    slot_index, point, for_write=False
+                )
+                if hi <= lo:
+                    continue
+                mem_uid = placer.closest(proc, mem_kind).uid
+                current = out.get((mem_uid, root), IntervalSet.empty())
+                out[(mem_uid, root)] = current.union(IntervalSet.single(lo, hi))
+        self._contrib_cache[key] = out
+        return out
 
     def _contribution_overflows(self, contrib: _Contribution) -> bool:
         """Whether this option's own footprint already exceeds some
@@ -203,44 +161,19 @@ class StaticMemoryFeasibility:
     # ------------------------------------------------------------------
     # Whole-mapping feasibility
     # ------------------------------------------------------------------
-    def check(self, mapping: "Mapping") -> MemoryDemand:
-        """Static footprint of ``mapping``; equals
-        :meth:`MemoryPlanner.check` exactly."""
-        per_mem_root: Dict[Tuple[str, str], IntervalSet] = {}
-        for kind in self.graph.task_kinds:
-            decision = mapping.decision(kind.name)
-            for slot_index in range(kind.num_slots):
-                contrib = self._slot_contribution(
-                    kind.name,
-                    decision.distribute,
-                    decision.proc_kind,
-                    slot_index,
-                    decision.mem_kinds[slot_index],
-                )
-                for key, ivs in contrib.items():
-                    current = per_mem_root.get(key)
-                    per_mem_root[key] = (
-                        ivs if current is None else current.union(ivs)
-                    )
-        per_memory: Dict[str, int] = {}
-        for (mem_uid, _root), ivs in per_mem_root.items():
-            per_memory[mem_uid] = per_memory.get(mem_uid, 0) + ivs.total
-        demand = MemoryDemand(per_memory=per_memory)
-        for uid, total in per_memory.items():
-            if total > self._capacity[uid]:
-                demand.overflows[uid] = (total, self._capacity[uid])
-        return demand
-
     def oom_reason(self, mapping: "Mapping") -> Optional[str]:
-        """The exact OOM message the runtime planner would raise for
+        """The exact OOM message the runtime planner raises for
         ``mapping``, or ``None`` when it fits.  Memoized per mapping."""
         key = mapping.key()
         if key in self._reason_cache:
             self.cache_hits += 1
             return self._reason_cache[key]
         self.checks += 1
-        demand = self.check(mapping)
-        reason = None if demand.ok else demand.oom_message()
+        try:
+            self.planner.ensure_fits(mapping)
+            reason = None
+        except OOMError as exc:
+            reason = str(exc)
         self._reason_cache[key] = reason
         return reason
 
@@ -275,7 +208,7 @@ class StaticMemoryFeasibility:
                         for mem in options
                         if all(
                             self._contribution_overflows(
-                                self._slot_contribution(
+                                self.slot_contribution(
                                     kind_name, dist, proc, slot_index, mem
                                 )
                             )
@@ -311,7 +244,7 @@ class StaticMemoryFeasibility:
 
     def diagnose_mapping(self, mapping: "Mapping") -> List[Diagnostic]:
         """``AM102`` when the mapping's footprint provably overflows."""
-        demand = self.check(mapping)
+        demand = self.planner.check(mapping)
         if demand.ok:
             return []
         out: List[Diagnostic] = []

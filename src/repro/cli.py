@@ -32,7 +32,7 @@ from repro.apps import APP_REGISTRY, make_app
 from repro.core import AutoMapSession, OracleConfig, TuningEngine
 from repro.core.engine import ALGORITHMS
 from repro.machine import MACHINE_ZOO
-from repro.runtime import SimConfig
+from repro.runtime import OOMError, SimConfig
 from repro.util.logging import configure as configure_logging
 from repro.viz import render_mapping, render_mapping_diff
 
@@ -606,12 +606,21 @@ def _cmd_tune(args) -> int:
         metrics_out=args.metrics_out,
     )
     default = session.prepared.space.default_mapping()
-    t_default = TuningEngine().measure(session.prepared, default)
+    try:
+        t_default = TuningEngine().measure(session.prepared, default)
+    except OOMError as exc:
+        # With --no-spill an overflowing default is the Figure 8 regime
+        # the search exists for: there is no baseline to compare, but
+        # the tune still runs.
+        t_default, default_oom = None, str(exc)
     report = session.tune()
     print(report.describe())
     print()
-    print(f"default mapper: {t_default:.6f} s; "
-          f"speedup {t_default / report.best_mean:.2f}x")
+    if t_default is None:
+        print(f"default mapper: out of memory ({default_oom}); no speedup")
+    else:
+        print(f"default mapper: {t_default:.6f} s; "
+              f"speedup {t_default / report.best_mean:.2f}x")
     print()
     print(render_mapping_diff(graph, default, report.best_mapping))
     return 0

@@ -298,7 +298,9 @@ class PreparedTune:
             self.canonicalizer = Canonicalizer(request.graph, request.machine)
             if not self.sim_config.spill:
                 self.feasibility = StaticMemoryFeasibility(
-                    request.graph, request.machine
+                    request.graph,
+                    request.machine,
+                    planner=self.simulator.planner,
                 )
             self.space = self.space.prune_infeasible(
                 feasibility=self.feasibility,

@@ -65,9 +65,9 @@ class MemoryDemand:
         return "\n".join(lines)
 
     def oom_message(self) -> str:
-        """The canonical OOM reason for this demand.  Shared by the
-        runtime planner and the static feasibility pass so a statically
-        proven OOM carries a byte-identical reason string."""
+        """The canonical OOM reason for this demand: the message of
+        the :class:`OOMError` the planner raises, which the static
+        feasibility pass reports for a statically proven OOM."""
         details = ", ".join(
             f"{uid} needs {format_bytes(need)} of {format_bytes(cap)}"
             for uid, (need, cap) in sorted(self.overflows.items())
@@ -126,7 +126,9 @@ class MemoryPlanner:
     ) -> None:
         self.graph = graph
         self.machine = machine
-        self._placer = Placer(machine)
+        #: The point placement every footprint is built from; the
+        #: static feasibility pass reads its per-option table too.
+        self.placer = Placer(machine)
         #: launch uid -> interned shape id (the per-launch cache key).
         self._shape_of = graph.shape_ids()
         self._shard_cache: Optional[Dict[tuple, tuple]] = (
@@ -172,7 +174,7 @@ class MemoryPlanner:
             if cached is not None:
                 return cached
         entries = []
-        placements = self._placer.place_launch(launch, decision)
+        placements = self.placer.place_launch(launch, decision)
         slot_data = [
             (launch.args[i].root, self._read_intervals(launch, i))
             for i in range(len(launch.kind.slots))

@@ -13,12 +13,16 @@ kind" (paper §3.2).  This module is that runtime logic:
   kind that is closest to the selected processor" (§3.2) — the GPU's own
   frame buffer, the CPU's own socket's System memory, the node's
   Zero-Copy pool.
+
+The first two rules are one cached table per (launch size, distribute,
+processor kind), :meth:`Placer.point_procs`: the only copy of the point
+-> processor assignment, which the static analyses read as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import Machine, Memory, Processor
@@ -48,8 +52,13 @@ class Placer:
                 procs = machine.processors_of_kind(kind, node)
                 self._procs_by_kind_node[(kind, node)] = procs
         self._closest_cache: Dict[Tuple[str, MemKind], Memory] = {}
+        self._tables: Dict[
+            Tuple[int, bool, ProcKind], Tuple[Optional[Processor], ...]
+        ] = {}
 
-    def _closest(self, proc: Processor, kind: MemKind) -> Memory:
+    def closest(self, proc: Processor, kind: MemKind) -> Memory:
+        """The memory of ``kind`` closest to ``proc`` (§3.2); raises
+        ``ValueError`` when ``proc`` cannot address that kind."""
         key = (proc.uid, kind)
         mem = self._closest_cache.get(key)
         if mem is None:
@@ -64,13 +73,37 @@ class Placer:
             self._closest_cache[key] = mem
         return mem
 
-    def node_of_point(
-        self, launch: TaskLaunch, decision: MappingDecision, point: int
-    ) -> int:
-        """Node index executing the given point task (blocked split)."""
-        if not decision.distribute:
+    def node_of_point(self, size: int, distribute: bool, point: int) -> int:
+        """Node index executing point ``point`` of a ``size``-point
+        launch (blocked split; the leader node 0 when not distributed)."""
+        if not distribute:
             return 0
-        return point * self.machine.num_nodes // launch.size
+        return point * self.machine.num_nodes // size
+
+    def point_procs(
+        self, size: int, distribute: bool, proc_kind: ProcKind
+    ) -> Tuple[Optional[Processor], ...]:
+        """Processor executing each point of a ``size``-point launch:
+        the blocked node split, then round-robin over the node's
+        processors of ``proc_kind``.  ``None`` marks a point whose node
+        has no processor of that kind.  Cached per argument triple."""
+        key = (size, distribute, proc_kind)
+        table = self._tables.get(key)
+        if table is None:
+            procs: List[Optional[Processor]] = []
+            rr_counters: Dict[int, int] = {}
+            for point in range(size):
+                node = self.node_of_point(size, distribute, point)
+                pool = self._procs_by_kind_node.get((proc_kind, node))
+                if not pool:
+                    procs.append(None)
+                    continue
+                index = rr_counters.get(node, 0)
+                rr_counters[node] = index + 1
+                procs.append(pool[index % len(pool)])
+            table = tuple(procs)
+            self._tables[key] = table
+        return table
 
     def place_launch(
         self, launch: TaskLaunch, decision: MappingDecision
@@ -83,32 +116,20 @@ class Placer:
         separately by the noise layer).
         """
         placements: List[PointPlacement] = []
-        rr_counters: Dict[int, int] = {}
-        for point in range(launch.size):
-            node = self.node_of_point(launch, decision, point)
-            procs = self._procs_by_kind_node.get((decision.proc_kind, node), [])
-            if not procs:
+        procs = self.point_procs(
+            launch.size, decision.distribute, decision.proc_kind
+        )
+        for point, proc in enumerate(procs):
+            if proc is None:
+                node = self.node_of_point(
+                    launch.size, decision.distribute, point
+                )
                 raise ValueError(
                     f"no {decision.proc_kind.value} processors on node {node}"
                 )
-            index = rr_counters.get(node, 0)
-            rr_counters[node] = index + 1
-            proc = procs[index % len(procs)]
             mems = tuple(
-                self._closest(proc, mem_kind)
+                self.closest(proc, mem_kind)
                 for mem_kind in decision.mem_kinds
             )
             placements.append(PointPlacement(point=point, proc=proc, mems=mems))
         return placements
-
-    @staticmethod
-    def shard_interval(
-        launch: TaskLaunch,
-        slot_index: int,
-        point: int,
-        for_write: bool = False,
-    ) -> Tuple[int, int]:
-        """Byte interval accessed by one point task through one slot —
-        delegates to :meth:`repro.taskgraph.task.TaskLaunch.shard_interval`
-        (halo/strip patterns included)."""
-        return launch.shard_interval(slot_index, point, for_write=for_write)

@@ -95,7 +95,9 @@ class Simulator:
             self.config.noise_sigma, self.config.seed, cache=incremental
         )
         self._executor = Executor(graph, machine)
-        self._planner = MemoryPlanner(graph, machine, memoize=incremental)
+        #: The memory planner behind OOM and spill.  A tune's static
+        #: feasibility pass proves OOMs with this same planner.
+        self.planner = MemoryPlanner(graph, machine, memoize=incremental)
         #: The incremental engine untraced runs go through (``None``
         #: when ``incremental`` is off).  A tune's bound analyzer runs
         #: its schedule component on this same engine.
@@ -196,9 +198,9 @@ class Simulator:
             if cached is not None:
                 return cached
         if self.config.spill:
-            executed = self._planner.apply_spill(mapping)
+            executed = self.planner.apply_spill(mapping)
         else:
-            self._planner.ensure_fits(mapping)
+            self.planner.ensure_fits(mapping)
             executed = mapping
         if self._spill_cache is not None:
             self._spill_cache[key] = executed
@@ -284,7 +286,7 @@ class Simulator:
     def memory_demand(self, mapping: Mapping):
         """Static footprint report for ``mapping`` (no execution)."""
         validate(self.graph, self.machine, mapping)
-        return self._planner.check(mapping)
+        return self.planner.check(mapping)
 
     def clear_cache(self) -> None:
         self._cache.clear()

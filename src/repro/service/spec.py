@@ -236,10 +236,11 @@ class JobSpec:
         """Materialise (app, graph, machine, space).
 
         Raises ``ValueError`` for labels/knobs the registries reject,
-        and for a start mapping that is malformed or invalid on the
-        built graph and machine (a :class:`~repro.mapping.validate.
-        MappingError`) — the HTTP layer turns that into a 400 at submit
-        time, before the job is ever queued.
+        for a graph without launches (no mapping can cover it), and for
+        a start mapping that is malformed or invalid on the built graph
+        and machine (a :class:`~repro.mapping.validate.MappingError`) —
+        the HTTP layer turns that into a 400 at submit time, before the
+        job is ever queued.
         """
         from repro.cli import parse_app_input
 
@@ -259,6 +260,10 @@ class JobSpec:
         except TypeError as exc:
             raise ValueError(str(exc)) from None
         graph = app.graph(machine)
+        if not graph.launches:
+            raise ValueError(
+                f"the {self.app} graph launches no tasks: nothing to map"
+            )
         if self.start_mapping is not None:
             from repro.mapping.io import mapping_from_doc
             from repro.mapping.validate import validate

@@ -49,21 +49,25 @@ from repro.util.serialization import dump_json, load_json
 __all__ = [
     "JOB_FILENAME",
     "QUARANTINE_SUFFIX",
+    "UNREADABLE",
     "CorruptJobRecord",
     "JobRecord",
     "JobState",
     "JobStore",
+    "quarantine",
 ]
 
 _LOG = get_logger("service.store")
 
 JOB_FILENAME = "job.json"
-#: Suffix of a ``job.json`` moved aside because it did not parse.
+#: Suffix of a ``job.json`` or ``checkpoint.json`` moved aside because
+#: it did not parse.
 QUARANTINE_SUFFIX = ".corrupt"
 _RECORD_FORMAT = "automap-jobrecord-v1"
-#: What a damaged ``job.json`` raises from the parse or the record
-#: constructor (bad JSON or UTF-8, missing fields, mistyped values).
-_UNREADABLE = (ValueError, KeyError, TypeError)
+#: What a damaged ``job.json`` or ``checkpoint.json`` raises from the
+#: parse or the record constructor (bad JSON or UTF-8, missing fields,
+#: mistyped values).
+UNREADABLE = (ValueError, KeyError, TypeError)
 
 
 class JobState(str, Enum):
@@ -178,7 +182,7 @@ def _job_number(name: str) -> Optional[int]:
         return None
 
 
-def _quarantine(path: Path) -> Path:
+def quarantine(path: Path) -> Path:
     """Move ``path`` aside to the first free ``<name>.corrupt[.N]``
     beside it — a rename, so the bytes survive for inspection."""
     target = path.with_name(path.name + QUARANTINE_SUFFIX)
@@ -286,7 +290,7 @@ class JobStore:
     def _parse(self, job_id: str) -> Optional[JobRecord]:
         """``job_id``'s record as on disk, or ``None`` if it has none.
         Raises :class:`CorruptJobRecord` for a record already moved
-        aside, and one of ``_UNREADABLE`` for a damaged one."""
+        aside, and one of ``UNREADABLE`` for a damaged one."""
         job_dir = self.job_dir(job_id)
         try:
             doc = load_json(job_dir / JOB_FILENAME)
@@ -302,9 +306,9 @@ class JobStore:
         lock, so a parse that fails here is damage, not a torn write."""
         try:
             return self._parse(job_id)
-        except _UNREADABLE as exc:
+        except UNREADABLE as exc:
             path = self.job_dir(job_id) / JOB_FILENAME
-            target = _quarantine(path)
+            target = quarantine(path)
             _LOG.warning(
                 "job %s: unreadable %s (%s: %s); moved aside to %s",
                 job_id,
@@ -329,7 +333,7 @@ class JobStore:
         (after moving it aside)."""
         try:
             return self._parse(job_id)  # lock-free: writes are atomic
-        except _UNREADABLE:
+        except UNREADABLE:
             with self._lock:
                 return self._read(job_id)
 

@@ -21,7 +21,9 @@ periodically, and :meth:`JobWorker.execute` resumes from that checkpoint
 whenever one exists.  A service killed mid-job and restarted therefore
 finishes the job with a **bit-identical** result document — the PR-3
 replay contract, promoted to job level — which the CI service-smoke gate
-asserts by SIGKILLing a live server.
+asserts by SIGKILLing a live server.  A checkpoint that does not load is
+quarantined like a damaged ``job.json`` and the job tunes from the
+start, to the same bytes.
 
 Jobs run with telemetry off (wall-clock lines would make reruns differ
 on disk) and tracing on (the ``/jobs/<id>/trace`` endpoint is
@@ -31,13 +33,14 @@ unconditional; tracing is observational and cannot change the result).
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 from typing import Optional
 
 from repro.core.oracle import OracleConfig
 from repro.core.session import AutoMapSession
 from repro.obs.metrics import MetricsRegistry, to_prometheus_text
 from repro.obs.trace import TRACE_FILENAME
-from repro.resilience.checkpoint import CHECKPOINT_FILENAME
+from repro.resilience.checkpoint import CHECKPOINT_FILENAME, load_checkpoint
 from repro.runtime.simulator import SimConfig
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import (
@@ -47,7 +50,7 @@ from repro.service.fingerprint import (
 )
 from repro.service.result import RESULT_FILENAME, result_doc, result_json_bytes
 from repro.service.spec import JobSpec, spec_json_bytes
-from repro.service.store import JobRecord, JobState, JobStore
+from repro.service.store import UNREADABLE, JobRecord, JobState, JobStore, quarantine
 from repro.util.logging import get_logger
 
 __all__ = ["JobWorker"]
@@ -117,15 +120,7 @@ class JobWorker(threading.Thread):
         spec = JobSpec.from_doc(record.spec_doc)
         _, graph, machine, space = spec.build()
         workdir = self.store.work_dir(record.job_id)
-        resume = (workdir / CHECKPOINT_FILENAME).exists()
-        if resume:
-            _LOG.info(
-                "job %s: resuming from checkpoint (attempt %d)",
-                record.job_id,
-                record.attempts,
-            )
-            self.metrics.counter("service.jobs.resumed").inc()
-
+        resume = self._resumable(record, workdir / CHECKPOINT_FILENAME)
         session = AutoMapSession(
             graph,
             machine,
@@ -191,6 +186,40 @@ class JobWorker(threading.Thread):
         return record.with_(
             state=JobState.DONE, simulations=report.simulations
         )
+
+    def _resumable(self, record: JobRecord, path: Path) -> bool:
+        """Whether the job resumes from the checkpoint at ``path``.
+
+        A checkpoint that does not load is moved aside to
+        ``checkpoint.json.corrupt`` (the naming of ``job.json``
+        quarantine), logged and counted as
+        ``service.checkpoints.quarantined``, and the job tunes from the
+        start, which is just as deterministic as a resume.
+        """
+        if not path.exists():
+            return False
+        try:
+            load_checkpoint(path)
+        except UNREADABLE as exc:
+            target = quarantine(path)
+            _LOG.warning(
+                "job %s: unreadable %s (%s: %s); moved aside to %s, "
+                "tuning from the start",
+                record.job_id,
+                path,
+                type(exc).__name__,
+                exc,
+                target,
+            )
+            self.metrics.counter("service.checkpoints.quarantined").inc()
+            return False
+        _LOG.info(
+            "job %s: resuming from checkpoint (attempt %d)",
+            record.job_id,
+            record.attempts,
+        )
+        self.metrics.counter("service.jobs.resumed").inc()
+        return True
 
     def _class_key(self, record, spec, graph, machine, space) -> Optional[str]:
         """The class key of a job that did not carry one from submit, or

@@ -13,10 +13,14 @@ from repro.analysis.bounds import (
 )
 from repro.apps import make_app
 from repro.machine import shepard
+from repro.machine.builders import HELIX_T4_NODE, heterogeneous_cluster
 from repro.machine.kinds import ProcKind
+from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
+from repro.runtime.placement import Placer
 from repro.runtime.simulator import SimConfig, Simulator
+from repro.taskgraph import GraphBuilder, Privilege
 from repro.util.rng import RngStream
 from tests.test_incremental import MACHINES, MIXED, _chain, _graph
 
@@ -103,22 +107,49 @@ def test_prefix_reuse_matches_fresh_analyzer(app_name, machine_name):
 
 
 class TestNodeCounts:
-    """The blocked point->node split must mirror the placer exactly —
-    an over-count here was the one soundness bug this layer shipped
-    with, so pin it against the placer's own formula."""
+    """The bound's per-processor point counts and serial factor come
+    from the placer's own table.  An over-count here was the one
+    soundness bug this layer shipped with, so pin them against a tally
+    of the processors :meth:`Placer.place_launch` assigns."""
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 16, 31])
     def test_matches_placer_split(self, stencil, size):
         graph, machine, _ = stencil
         analyzer = StaticBoundAnalyzer(graph, machine)
-        nodes = machine.num_nodes
-        expected = [0] * nodes
-        for point in range(size):
-            expected[point * nodes // size] += 1
-        assert analyzer._node_counts(size, True) == tuple(expected)
-        undistributed = analyzer._node_counts(size, False)
-        assert undistributed[0] == size
-        assert sum(undistributed) == size
+        placer = Placer(machine)
+        builder = GraphBuilder("points")
+        data = builder.collection("data", nbytes=1 << 20)
+        kind = builder.task_kind("k", slots=[("data", Privilege.READ)])
+        launch = builder.launch(kind, [data], size=size, flops=1.0)
+        for distribute in (False, True):
+            for pk in machine.proc_kinds():
+                decision = MappingDecision(
+                    distribute, pk, (machine.mem_kinds_for(pk)[0],)
+                )
+                tally: dict = {}
+                for placement in placer.place_launch(launch, decision):
+                    uid = placement.proc.uid
+                    tally[uid] = tally.get(uid, 0) + 1
+                counts, factor = analyzer._proc_counts(size, distribute, pk)
+                assert dict(counts) == tally
+                assert factor == max(tally.values())
+
+    def test_node_without_the_kind_contributes_nothing(self):
+        """A distributed GPU launch on a cluster whose second node has
+        no GPU: the runtime refuses to place it, and the bound counts
+        only the points the placer can place."""
+        machine = heterogeneous_cluster(
+            "hetero", [HELIX_T4_NODE, dataclasses.replace(HELIX_T4_NODE, gpus=0)]
+        )
+        graph = make_app("stencil", nx=64, ny=64).graph(machine)
+        mapping = SearchSpace(graph, machine).default_mapping()
+        launch = graph.launches[0]
+        decision = mapping.decision(launch.kind.name)
+        assert decision.distribute and decision.proc_kind is ProcKind.GPU
+        with pytest.raises(ValueError, match="no gpu processors on node 1"):
+            Placer(machine).place_launch(launch, decision)
+        analyzer = StaticBoundAnalyzer(graph, machine)
+        assert analyzer.quick_bound(mapping).hex() == "0x1.3aec6b3914c5bp-11"
 
 
 class TestDiagnostics:

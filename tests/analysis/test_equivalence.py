@@ -14,13 +14,13 @@ from repro.analysis.equivalence import (
     pullback_result_doc,
     touchable_resources,
 )
-from repro.analysis.memfeas import StaticMemoryFeasibility
 from repro.apps import make_app
 from repro.machine import MACHINE_ZOO
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.overrides import apply_machine_params
 from repro.mapping.decision import MappingDecision
 from repro.mapping.space import SearchSpace
+from repro.runtime.memory import MemoryPlanner
 from repro.util.units import GIB, KIB
 
 
@@ -39,17 +39,17 @@ CONFIG = {"algorithm": "ccd", "seed": 0, "noise_sigma": 0.0}
 
 class TestFootprintBounds:
     def test_bounds_dominate_sampled_mappings(self):
-        """U(m) is an upper bound on every valid mapping's exact static
-        footprint (the planner-identical memfeas check)."""
+        """U(m) is an upper bound on every valid mapping's exact
+        footprint, as the runtime's memory planner computes it."""
         graph, machine, space = _workload()
         bounds = footprint_bounds(graph, machine, space)
-        feas = StaticMemoryFeasibility(graph, machine)
+        planner = MemoryPlanner(graph, machine)
         rng = random.Random(7)
         mappings = [space.default_mapping()] + [
             space.random_mapping(rng, valid=True) for _ in range(20)
         ]
         for mapping in mappings:
-            for uid, total in feas.check(mapping).per_memory.items():
+            for uid, total in planner.check(mapping).per_memory.items():
                 assert total <= bounds[uid], (mapping.key(), uid)
 
     def test_every_memory_has_a_bound(self):

@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import StaticMemoryFeasibility
+from repro.core import TuneRequest, TuningEngine
 from repro.machine import single_node
 from repro.machine.kinds import MemKind
 from repro.mapping import SearchSpace
+from repro.runtime import SimConfig
 from repro.runtime.memory import MemoryPlanner, OOMError
 from repro.util.rng import RngStream
 from repro.util.units import MIB
@@ -33,19 +35,6 @@ def cramped():
         zero_copy_capacity=512 * MIB,
     )
     return graph, machine
-
-
-def test_check_matches_memory_planner_exactly(cramped):
-    graph, machine = cramped
-    static = StaticMemoryFeasibility(graph, machine)
-    planner = MemoryPlanner(graph, machine)
-    space = SearchSpace(graph, machine)
-    for seed in range(30):
-        mapping = space.random_mapping(RngStream(seed))
-        expected = planner.check(mapping)
-        got = static.check(mapping)
-        assert got.per_memory == expected.per_memory
-        assert got.overflows == expected.overflows
 
 
 def test_oom_reason_matches_runtime_error_bytes(cramped):
@@ -150,3 +139,13 @@ def test_prune_infeasible_default_constructs_passes(cramped):
     graph, machine = cramped
     pruned = SearchSpace(graph, machine).prune_infeasible()
     assert pruned.is_pruned
+
+
+def test_spill_off_tune_proves_ooms_with_the_simulators_planner(cramped):
+    """One footprint rule: a spill-off tune's feasibility pass runs on
+    the simulator's own planner (and so on its placer)."""
+    graph, machine = cramped
+    prepared = TuningEngine().prepare(
+        TuneRequest(graph, machine, sim_config=SimConfig(spill=False))
+    )
+    assert prepared.feasibility.planner is prepared.simulator.planner

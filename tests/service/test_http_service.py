@@ -236,6 +236,14 @@ class TestErrorPaths:
             doc["error"]
         )
 
+    def test_graph_without_launches_is_400(self, service_url):
+        spec = {"app": "circuit", "gen_params": {"iterations": 0}}
+        status, doc = _post(f"{service_url}/jobs", spec)
+        assert status == 400
+        assert "launches no tasks" in doc["error"]
+        status, listing = _get(f"{service_url}/jobs")
+        assert status == 200 and listing["jobs"] == []
+
     def test_malformed_json_is_400(self, service_url):
         request = urllib.request.Request(
             f"{service_url}/jobs",

@@ -122,6 +122,36 @@ class TestKillRestart:
         assert counters["service.jobs.resumed"] == 1
         assert restarted.store.get(record.job_id).state is JobState.DONE
 
+    def test_unreadable_checkpoint_is_quarantined_and_restarted(
+        self, tmp_path
+    ):
+        """A truncated checkpoint is moved aside and counted, and the
+        job tunes from the start to an uninterrupted run's bytes."""
+        reference = MappingService(tmp_path / "ref")
+        ref_record = reference.submit(dict(SPEC))
+        _run_to_completion(reference)
+
+        service = MappingService(tmp_path / "state")
+        record = service.submit(dict(SPEC))
+        service.store.claim_next()
+        _crash_mid_job(service, record.job_id)
+        path = service.store.work_dir(record.job_id) / CHECKPOINT_FILENAME
+        truncated = path.read_bytes()[:100]
+        path.write_bytes(truncated)
+
+        restarted = MappingService(tmp_path / "state")
+        _run_to_completion(restarted)
+        finished = restarted.store.get(record.job_id)
+        assert finished.state is JobState.DONE
+        assert restarted.cache.read(
+            finished.fingerprint, RESULT_FILENAME
+        ) == reference.cache.read(ref_record.fingerprint, RESULT_FILENAME)
+        quarantined = path.with_name(CHECKPOINT_FILENAME + ".corrupt")
+        assert quarantined.read_bytes() == truncated
+        counters = restarted.metrics.as_dict()["counters"]
+        assert counters["service.checkpoints.quarantined"] == 1
+        assert "service.jobs.resumed" not in counters
+
     def test_crash_before_any_checkpoint_restarts_clean(self, tmp_path):
         """A job killed before its first snapshot simply restarts —
         try_load_checkpoint reports nothing to resume."""

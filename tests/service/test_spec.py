@@ -142,6 +142,14 @@ class TestBuild:
         with pytest.raises(ValueError):
             JobSpec(app="stencil", gen_params={"bogus_knob": 3}).build()
 
+    def test_build_rejects_graph_without_launches(self):
+        """Zero iterations leave the circuit graph empty; no mapping can
+        cover it, so the spec fails to build instead of queueing a job
+        that can only fail."""
+        spec = JobSpec(app="circuit", gen_params={"iterations": 0})
+        with pytest.raises(ValueError, match="launches no tasks"):
+            spec.build()
+
     def test_label_mentions_app_and_machine(self):
         label = JobSpec(app="stencil", machine="lassen").label()
         assert "stencil" in label and "lassen" in label

@@ -120,6 +120,32 @@ class TestCommands:
         assert (tmp_path / "w" / "telemetry.jsonl").exists()
         assert not (tmp_path / "w" / "trace.json").exists()
 
+    def test_no_spill_tune_survives_an_overflowing_default(self, capsys):
+        """Pennant's Figure 8 point overflows the framebuffer under the
+        default mapping: with spill off there is no baseline, but the
+        tune still runs."""
+        code = main(
+            [
+                "tune",
+                "--app",
+                "pennant",
+                "--input",
+                "320x66151",
+                "--gen-param",
+                "iterations=1",
+                "--no-spill",
+                "--max-suggestions",
+                "120",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert (
+            "default mapper: out of memory (mapping exceeds memory "
+            "capacity: n0.fb0 needs 17.1 GiB of 16.0 GiB); no speedup"
+        ) in out
+        assert "best mean time" in out
+
     def test_tune_with_trace_and_trace_subcommand(self, capsys, tmp_path):
         code = main(
             [
