@@ -2,7 +2,7 @@
 
 Runs a small CCD search for every bundled application, traces the
 winning mapping, and writes ``BENCH_smoke.json`` (format
-``bench-smoke-v2``) with the makespan, the oracle-call counts, the
+``bench-smoke-v3``) with the makespan, the oracle-call counts, the
 compute/copy/idle breakdown, the search throughput (candidates/second)
 and the incremental engine's effectiveness counters per app.  For the
 speedup apps (circuit, stencil) the tune is additionally repeated with
@@ -17,14 +17,25 @@ With ``--baseline`` the run is gated two ways:
   makespan is simulated-clock, so this gate is deterministic);
 * any app whose search throughput drops more than
   ``--throughput-tolerance`` (default 10%) below the baseline fails the
-  run.  Throughput is compared *normalized*: each app's
-  candidates/second is divided by the geometric mean over the apps
-  common to both runs, so a uniformly faster or slower runner cancels
-  out and the gate fires only on per-app regressions.  The run keeps
-  the best of ``--reps`` repetitions to damp scheduler noise; raw
-  candidates/second is recorded alongside for human inspection.
+  run.  Throughput is compared *normalized*: in each round each app's
+  candidates/second is divided by the round's geometric mean over the
+  apps common to both runs, and the gate reads each app's median over
+  the rounds, so a uniformly faster or slower runner cancels out and
+  the gate fires only on per-app regressions.
 
-A baseline in the old ``bench-smoke-v1`` format skips the throughput
+Throughput is measured in ``--reps`` rounds, each tuning every app
+once, so a slow spell of a shared host hits one round of every app
+rather than every repetition of one app.  Each repetition is timed in
+the search's thread CPU seconds (``time.thread_time``, which leaves
+out waits for a CPU another process holds) scaled to a reference CPU
+by a fixed integer-loop probe taken on either side of it, the probe of
+``perfbench/run.py``: on a shared host the same code runs up to 2x
+slower for seconds at a time, which moved unscaled per-app rates by
+more than the tolerance between runs of unchanged code.  The
+incremental-speedup floor compares medians of the same scaled CPU
+seconds.  The median wall clock is recorded for human inspection.
+
+A baseline in an older format (wall-clock rates) skips the throughput
 gate with a note — regenerate to enable it.
 
 Usage::
@@ -34,13 +45,21 @@ Usage::
 
 Regenerate the baseline after an intentional change with::
 
-    python benchmarks/smoke.py --output benchmarks/results/BENCH_baseline.json
+    python benchmarks/smoke.py --reps 15 \
+        --output benchmarks/results/BENCH_baseline.json
+
+The baseline's own noise enters every comparison, so it takes more
+rounds than a gate run: each round's normalized rate moves about 8%
+on a shared host, and 15 baseline rounds against 7 gate rounds
+failed none of 380 comparisons of recorded rounds of unchanged code,
+where 5 against 5 failed 7%.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -93,11 +112,26 @@ SPEEDUP_APPS = ("circuit", "stencil")
 SPEEDUP_FLOOR = 2.5
 
 SEED = 7
-FORMAT = "bench-smoke-v2"
+FORMAT = "bench-smoke-v3"
+
+#: Thread CPU seconds :func:`cpu_probe` takes on the reference CPU.
+REFERENCE_PROBE_S = 0.02
+
+
+def cpu_probe() -> float:
+    """Thread CPU seconds of a fixed integer loop: how fast the CPU runs
+    pure Python right now."""
+    started = time.thread_time()
+    total = 0
+    for i in range(300_000):
+        total += i * i
+    return time.thread_time() - started
 
 
 def _tune(app_name: str, incremental: bool, bound_prune: bool = True):
-    """One short tune; returns (report, wall_seconds, stats)."""
+    """One short tune; returns (report, cpu_seconds, wall_seconds,
+    stats), with the search's thread CPU seconds scaled to the reference
+    CPU by the mean of a probe before and after it."""
     config = SMOKE_CONFIGS[app_name]
     machine = shepard(config["nodes"])
     app = make_app(app_name, **config["inputs"])
@@ -121,23 +155,43 @@ def _tune(app_name: str, incremental: bool, bound_prune: bool = True):
     )
     engine = TuningEngine()
     prepared = engine.prepare(request)
+    probe = cpu_probe()
+    cpu_started = time.thread_time()
     started = time.perf_counter()
     report = engine.run(prepared)
     wall = time.perf_counter() - started
-    return report, wall, prepared.simulator.incremental_stats
+    cpu = time.thread_time() - cpu_started
+    probe = (probe + cpu_probe()) / 2
+    cpu *= REFERENCE_PROBE_S / probe
+    return report, cpu, wall, prepared.simulator.incremental_stats
 
 
-def _tune_best_of(
+def _summarize(runs):
+    """(report, median cpu_seconds, median wall_seconds, stats) of
+    repetitions of one tune.  Results are deterministic, only the clocks
+    vary, so the first repetition's report and stats stand for all."""
+    report, _, _, stats = runs[0]
+    cpu = statistics.median(run[1] for run in runs)
+    wall = statistics.median(run[2] for run in runs)
+    return report, cpu, wall, stats
+
+
+def _tune_median_of(
     app_name: str, incremental: bool, reps: int, bound_prune: bool = True
 ):
-    """Repeat the tune, keep the fastest wall time (results are
-    deterministic, only the clock varies)."""
-    best = None
+    """Repeat one tune; see :func:`_summarize`."""
+    return _summarize(
+        [_tune(app_name, incremental, bound_prune) for _ in range(max(1, reps))]
+    )
+
+
+def _throughput_rounds(apps, reps: int) -> dict:
+    """``reps`` rounds, each tuning every app once: app -> its runs."""
+    runs = {app_name: [] for app_name in apps}
     for _ in range(max(1, reps)):
-        report, wall, stats = _tune(app_name, incremental, bound_prune)
-        if best is None or wall < best[1]:
-            best = (report, wall, stats)
-    return best
+        for app_name in apps:
+            runs[app_name].append(_tune(app_name, True))
+    return runs
 
 
 def _report_fingerprint(report):
@@ -155,10 +209,11 @@ def _report_fingerprint(report):
     )
 
 
-def run_app(app_name: str, reps: int) -> dict:
-    """One smoke entry; for speedup apps also the full-mode rerun with
-    the identity and speedup assertions."""
-    report, wall, stats = _tune_best_of(app_name, True, reps)
+def run_app(app_name: str, runs: list, reps: int) -> dict:
+    """One smoke entry from the app's throughput ``runs``; for speedup
+    apps also the full-mode rerun with the identity and speedup
+    assertions."""
+    report, cpu, wall, stats = _summarize(runs)
     assert report.breakdown is not None
     suggested = report.suggested
     entry = {
@@ -167,8 +222,10 @@ def run_app(app_name: str, reps: int) -> dict:
         "algorithm": report.algorithm,
         "best_mean": report.best_mean,
         "best_makespan": report.breakdown["makespan"],
+        "cpu_seconds": cpu,
         "wall_seconds": wall,
-        "candidates_per_second": suggested / wall if wall > 0 else 0.0,
+        "candidates_per_second": suggested / cpu if cpu > 0 else 0.0,
+        "round_rates": [suggested / run[1] for run in runs if run[1] > 0],
         "incremental": stats.as_dict(),
         "oracle_calls": {
             "suggested": report.suggested,
@@ -200,10 +257,10 @@ def run_app(app_name: str, reps: int) -> dict:
         # The incremental-vs-full A/B runs without bound pruning: the
         # engine's advantage is measured in its target regime, where
         # re-simulation (not static analysis) dominates tuning time.
-        inc_report, inc_wall, _ = _tune_best_of(
+        inc_report, inc_cpu, inc_wall, _ = _tune_median_of(
             app_name, True, reps, bound_prune=False
         )
-        full_report, full_wall, _ = _tune_best_of(
+        full_report, full_cpu, full_wall, _ = _tune_median_of(
             app_name, False, reps, bound_prune=False
         )
         if _report_fingerprint(inc_report) != _report_fingerprint(full_report):
@@ -211,8 +268,10 @@ def run_app(app_name: str, reps: int) -> dict:
                 f"{app_name}: incremental and full tuning disagree — "
                 "identity contract broken"
             )
-        speedup = full_wall / inc_wall if inc_wall > 0 else 0.0
+        speedup = full_cpu / inc_cpu if inc_cpu > 0 else 0.0
         entry["identity"] = {
+            "incremental_cpu_seconds": inc_cpu,
+            "full_cpu_seconds": full_cpu,
             "incremental_wall_seconds": inc_wall,
             "full_wall_seconds": full_wall,
             "speedup": speedup,
@@ -221,8 +280,8 @@ def run_app(app_name: str, reps: int) -> dict:
         if speedup < SPEEDUP_FLOOR:
             raise AssertionError(
                 f"{app_name}: incremental speedup {speedup:.2f}x below "
-                f"the {SPEEDUP_FLOOR:.1f}x floor "
-                f"(incremental {inc_wall:.2f}s vs full {full_wall:.2f}s)"
+                f"the {SPEEDUP_FLOOR:.1f}x floor (incremental "
+                f"{inc_cpu:.2f} vs full {full_cpu:.2f} CPU seconds)"
             )
     return entry
 
@@ -232,6 +291,18 @@ def _geomean(values) -> float:
     for value in values:
         product *= value
     return product ** (1.0 / len(values)) if values else 0.0
+
+
+def _normalized(apps: dict, common: list) -> dict:
+    """Each app's median over the rounds of its rate divided by the
+    round's geometric mean over ``common``."""
+    rounds = min((len(apps[name]["round_rates"]) for name in common), default=0)
+    shares = {name: [] for name in common}
+    for k in range(rounds):
+        norm = _geomean([apps[name]["round_rates"][k] for name in common])
+        for name in common:
+            shares[name].append(apps[name]["round_rates"][k] / norm)
+    return {name: statistics.median(share) for name, share in shares.items()}
 
 
 def check_regressions(
@@ -244,36 +315,30 @@ def check_regressions(
 
     Only the apps actually run are gated (``--apps`` subsets compare a
     subset); an app without a baseline entry is skipped — it gets one
-    the next time the baseline is regenerated.  Baselines in the v1
-    format carry no throughput data, so only the makespan gate runs.
+    the next time the baseline is regenerated.  Baselines in an older
+    format carry no CPU-time rates, so only the makespan gate runs.
     """
     failures = []
-    v1_baseline = baseline.get("format") != FORMAT
-    if v1_baseline:
+    old_baseline = baseline.get("format") != FORMAT
+    if old_baseline:
         print(
-            "note: baseline predates bench-smoke-v2; throughput gate "
-            "skipped — regenerate the baseline to enable it"
+            f"note: baseline format {baseline.get('format')} is not "
+            f"{FORMAT}; throughput gate skipped — regenerate the "
+            "baseline to enable it"
         )
 
-    # Normalizers over the apps present in both runs: dividing each
-    # app's rate by its run's geometric mean cancels absolute machine
-    # speed, leaving only per-app shifts for the gate.
+    # Normalized over the apps present in both runs: dividing each app's
+    # rate by its round's geometric mean cancels absolute machine speed,
+    # leaving only per-app shifts for the gate.
     common = [
         name
         for name, current in results["apps"].items()
-        if not v1_baseline
-        and current.get("candidates_per_second", 0.0) > 0
-        and baseline["apps"]
-        .get(name, {})
-        .get("candidates_per_second", 0.0)
-        > 0
+        if not old_baseline
+        and current.get("round_rates")
+        and baseline["apps"].get(name, {}).get("round_rates")
     ]
-    now_norm = _geomean(
-        [results["apps"][n]["candidates_per_second"] for n in common]
-    )
-    base_norm = _geomean(
-        [baseline["apps"][n]["candidates_per_second"] for n in common]
-    )
+    now_rel = _normalized(results["apps"], common)
+    base_rel = _normalized(baseline["apps"], common)
     if common and len(common) < 2:
         print(
             "note: only one app in common with the baseline; "
@@ -293,15 +358,14 @@ def check_regressions(
                 f"{now / base - 1.0:.1%} over baseline {base:.6g} s "
                 f"(tolerance {tolerance:.0%})"
             )
-        if app_name not in common or now_norm <= 0 or base_norm <= 0:
+        if app_name not in common:
             continue
-        now_rel = current["candidates_per_second"] / now_norm
-        base_rel = entry["candidates_per_second"] / base_norm
-        if now_rel < base_rel * (1.0 - throughput_tolerance):
+        now, base = now_rel[app_name], base_rel[app_name]
+        if now < base * (1.0 - throughput_tolerance):
             failures.append(
-                f"{app_name}: normalized throughput {now_rel:.2f} "
-                f"dropped {1.0 - now_rel / base_rel:.1%} below baseline "
-                f"{base_rel:.2f} (raw "
+                f"{app_name}: normalized throughput {now:.2f} "
+                f"dropped {1.0 - now / base:.1%} below baseline "
+                f"{base:.2f} (median "
                 f"{current['candidates_per_second']:.1f} vs "
                 f"{entry['candidates_per_second']:.1f} cand/s, "
                 f"tolerance {throughput_tolerance:.0%})"
@@ -336,9 +400,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--reps",
         type=int,
-        default=3,
-        help="timing repetitions per configuration; the fastest is kept "
-        "(default: 3)",
+        default=7,
+        help="timing rounds (throughput) and repetitions (speedup A/B); "
+        "medians are kept (default: 7)",
     )
     parser.add_argument(
         "--apps",
@@ -355,8 +419,9 @@ def main(argv=None) -> int:
         "speedup_floor": SPEEDUP_FLOOR,
         "apps": {},
     }
+    rounds = _throughput_rounds(args.apps, args.reps)
     for app_name in args.apps:
-        entry = run_app(app_name, args.reps)
+        entry = run_app(app_name, rounds[app_name], args.reps)
         results["apps"][app_name] = entry
         identity = entry.get("identity")
         speedup_note = (

@@ -72,7 +72,6 @@ __all__ = [
     "StaticBoundAnalyzer",
     "BoundBreakdown",
     "RoutingModel",
-    "routing_model",
     "MachineSymmetry",
     "KindRelabeling",
     "Workload",
@@ -93,7 +92,6 @@ _LAZY = {
     "StaticBoundAnalyzer": ("repro.analysis.bounds", "StaticBoundAnalyzer"),
     "BoundBreakdown": ("repro.analysis.bounds", "BoundBreakdown"),
     "RoutingModel": ("repro.analysis.routing", "RoutingModel"),
-    "routing_model": ("repro.analysis.routing", "routing_model"),
     "MachineSymmetry": ("repro.analysis.symmetry", "MachineSymmetry"),
     "KindRelabeling": ("repro.analysis.symmetry", "KindRelabeling"),
     "Workload": ("repro.analysis.equivalence", "Workload"),

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Span
-from repro.analysis.routing import routing_model
+from repro.analysis.routing import RoutingModel
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import Machine
 from repro.mapping.mapping import Mapping
@@ -189,8 +189,8 @@ class StaticBoundAnalyzer:
             if total > 0:
                 self._channel_bw[mem.uid] = DMA_EFFICIENCY * total
 
-        #: The executor's channel-path routes (shared per machine).
-        self._routing = routing_model(machine)
+        #: The executor's channel-path routes (the machine's shared table).
+        self._routing = RoutingModel(machine)
 
         # Caches (all keyed on deterministic values).
         self._proc_count_cache: Dict[Tuple, Tuple] = {}

@@ -106,11 +106,11 @@ def _diagnose_bounds(
     importable from below the runtime layer.
     """
     from repro.analysis.bounds import StaticBoundAnalyzer
-    from repro.analysis.routing import routing_model
+    from repro.analysis.routing import RoutingModel
     from repro.runtime.simulator import SimConfig, Simulator
 
     report = DiagnosticReport()
-    report.extend(routing_model(machine).diagnose())
+    report.extend(RoutingModel(machine).diagnose())
     report.extend(canonicalizer.diagnose_symmetry())
     if not graph.launches:
         # Degenerate graph: nothing to simulate and no mapping to

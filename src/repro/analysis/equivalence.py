@@ -32,12 +32,13 @@ it means the service must run the tune.  The lemmas:
    (including every spill-demotion target in ``mem_kinds_for``), and the
    channels on routed paths between touchable memories.  Parameters of
    resources *outside* that set are unobservable — with one deliberate
-   subtlety: channel parameters feed networkx's weighted route choice,
-   so the prover never reasons "unused channel, therefore immaterial"
-   from parameters alone.  Instead it compares the two machines' *route
-   tables* hop-for-hop over all touchable memory pairs; an unused
-   channel whose parameter change flipped a route shows up there and
-   blocks the proof.
+   subtlety: channel parameters feed the weighted route choice of
+   :mod:`repro.machine.topology` (its routing contract), so the prover
+   never reasons "unused channel, therefore immaterial" from parameters
+   alone.  Instead it compares the two machines' *route tables*
+   hop-for-hop over all touchable memory pairs; an unused channel whose
+   parameter change flipped a route shows up there and blocks the
+   proof.
 
 3. **Relabeling** (AM603).  Names are pure metadata: the simulator
    keys noise off the mapping key (task-kind names only) and nothing
@@ -75,9 +76,10 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Span
 from repro.analysis.memfeas import StaticMemoryFeasibility
-from repro.analysis.routing import channel_key, routing_model
+from repro.analysis.routing import RoutingModel, channel_key
 from repro.analysis.symmetry import MachineSymmetry
 from repro.machine.kinds import ProcKind
+from repro.machine.topology import Topology
 from repro.util.serialization import to_jsonable
 from repro.util.units import format_bytes
 
@@ -217,7 +219,7 @@ def touchable_resources(
             mem = machine.closest_memory(proc, mk)
             if mem is not None:
                 mems.add(mem.uid)
-    model = routing_model(machine)
+    model = RoutingModel(machine)
     chans = set()
     ordered = sorted(mems)
     for src in ordered:
@@ -573,10 +575,11 @@ def prove_equivalent(w1: Workload, w2: Workload) -> EquivalenceProof:
         log.append("channels: parameters equal")
 
     # Obligation 9: route tables agree hop-for-hop over every touchable
-    # memory pair.  Channel parameters weight networkx's path choice, so
-    # even an unused channel's slack must not have flipped a route.
-    topo1 = routing_model(m1).topology
-    topo2 = routing_model(m2).topology
+    # memory pair.  Channel parameters weight the route search's path
+    # choice, so even an unused channel's slack must not have flipped a
+    # route.
+    topo1 = Topology.of(m1)
+    topo2 = Topology.of(m2)
     ordered = sorted(touch.mem_uids)
     for src in ordered:
         for dst in ordered:

@@ -33,9 +33,11 @@ the simulator consults is preserved exactly:
    latency.
 8. **Routes** — the topology's chosen ``copy_path`` between every
    memory pair maps hop-by-hop onto the path between the image pair.
-   Bandwidth/latency equality (7) does not pin down *which* shortest
-   path networkx picks, and the executor reserves the channels of the
-   chosen path, so route equality is checked explicitly.
+   Bandwidth/latency equality (7) does not pin down *which* of several
+   equal-weight shortest paths the route search picks (its tie-break
+   follows memory and channel order, see :mod:`repro.machine.topology`),
+   and the executor reserves the channels of the chosen path, so route
+   equality is checked explicitly.
 
 Under these checks, relabeling a mapping permutes which concrete
 resources carry which timeline reservations but leaves every float
@@ -54,9 +56,9 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.routing import routing_model
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import Machine
+from repro.machine.topology import Topology
 from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
 from repro.taskgraph.graph import TaskGraph
@@ -203,7 +205,7 @@ class MachineSymmetry:
             ):
                 return False
         # 8. The topology's chosen routes commute with the pairing.
-        topology = routing_model(machine).topology
+        topology = Topology.of(machine)
         mems = [m.uid for m in machine.memories]
         for src in mems:
             for dst in mems:

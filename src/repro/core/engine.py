@@ -335,10 +335,13 @@ class PreparedTune:
         # coordinate's move-set in ascending static-lower-bound order
         # and start from a bound-guided seed, so the incumbent tightens
         # early and (when pruning is also on) more of the tail is
-        # skipped.  Unlike pruning, ordering changes only the visit
-        # order — the strict-improvement accept rule is untouched — so
-        # it is safe under any metric or budget and gated only on the
-        # algorithm family.
+        # skipped.  The strict-improvement accept rule is untouched, but
+        # the start and the visit order decide which local optimum the
+        # descent reaches, so ordering can change the result: on Fig 6c
+        # Pennant 320x5760 on one node, CCD reaches 0.62x the default
+        # mapper from the bound-guided start against 1.19x from the
+        # default start (DESIGN.md; ROADMAP, start policy).  It is gated
+        # only on the algorithm family.
         self.order_bounds = None
         if request.bound_order and isinstance(
             self.algorithm, CoordinateDescent

@@ -13,8 +13,10 @@ The public surface:
 - :class:`~repro.machine.model.Machine` — the machine graph;
 - :mod:`~repro.machine.builders` — ready-made models of the paper's two
   clusters (``shepard``, ``lassen``) plus generic builders;
-- :class:`~repro.machine.topology.Topology` — memoised reachability and
-  copy-path queries used by the runtime simulator.
+- :class:`~repro.machine.topology.Topology` — the route table: the
+  repository's own shortest-path routing of copies between memories,
+  shared per machine object (:meth:`Topology.of`) by the runtime
+  simulator and the static analyses, plus reachability queries.
 """
 
 from repro.machine.kinds import ProcKind, MemKind

@@ -30,7 +30,7 @@ from repro.machine.kinds import ProcKind
 from repro.machine.model import Machine
 from repro.machine.topology import Topology
 from repro.mapping.mapping import Mapping
-from repro.runtime.copies import CopyEngine, CopyStats, HopTable
+from repro.runtime.copies import CopyEngine, CopyStats
 from repro.runtime.events import TimelinePool
 from repro.runtime.instances import CoherenceState
 from repro.runtime.placement import Placer
@@ -75,8 +75,7 @@ class Executor:
         self.graph = graph
         self.machine = machine
         self.placer = Placer(machine)
-        self.topology = Topology(machine)
-        self.hops = HopTable(self.topology)
+        self.topology = Topology.of(machine)
         self._order = graph.topological_order()
 
     # ------------------------------------------------------------------
@@ -95,7 +94,7 @@ class Executor:
         """
         procs = TimelinePool()
         channels = TimelinePool()
-        copy_engine = CopyEngine(self.hops, channels, recorder=recorder)
+        copy_engine = CopyEngine(self.topology, channels, recorder=recorder)
         coherence = CoherenceState()
         finish: Dict[str, float] = {}
         kind_busy: Dict[str, float] = {}

@@ -55,7 +55,7 @@ from repro.machine.model import Machine
 from repro.machine.topology import Topology
 from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
-from repro.runtime.copies import CopyEngine, CopyStats, HopTable
+from repro.runtime.copies import CopyEngine, CopyStats
 from repro.runtime.events import TimelinePool
 from repro.runtime.executor import ExecutionReport
 from repro.runtime.instances import CoherenceState
@@ -334,7 +334,7 @@ class IncrementalEngine:
     ) -> None:
         self.graph = graph
         self.machine = machine
-        self.hops = HopTable(Topology(machine))
+        self.topology = Topology.of(machine)
         self.stats = stats if stats is not None else IncrementalStats()
         self.costs = LaunchCostCache(graph, machine, stats=self.stats)
         self._order = graph.topological_order()
@@ -416,7 +416,7 @@ class IncrementalEngine:
             if index <= dirty
         }
 
-        copy_engine = CopyEngine(self.hops, state.channels, stats=state.copy_stats)
+        copy_engine = CopyEngine(self.topology, state.channels, stats=state.copy_stats)
         execute = copy_engine.execute
         # Every ``max`` of the executor is written as a comparison
         # (``b if b > a else a`` is ``max(a, b)``, ties included).

@@ -31,7 +31,13 @@ entry.  With ``max_bytes`` set, every publish evicts
 least-recently-used entries (by ``.atime``, touched on every lookup and
 read) until the cache fits.
 
-Hit/miss/store/eviction counters go through the service's
+An entry is served only if its ``result.json`` parses to a JSON
+object.  One that does not (a truncated or overwritten file) is moved
+whole to ``<root>/quarantine/<fingerprint>[.N]``, logged and counted
+(``service.cache.quarantined``), and the lookup misses, so the
+submission tunes afresh and republishes the entry.
+
+Hit/miss/store/eviction/quarantine counters go through the service's
 :class:`repro.obs.metrics.MetricsRegistry` and out the Prometheus text
 endpoint.
 """
@@ -77,6 +83,7 @@ class ResultCache:
         self.cache_dir = self.root / "cache"
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.classes_dir = self.root / "classes"
+        self.quarantine_dir = self.root / "quarantine"
         self.max_bytes = max_bytes
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
@@ -101,9 +108,10 @@ class ResultCache:
 
     def lookup(self, fingerprint: str) -> Optional[Path]:
         """The entry directory on a hit, ``None`` on a miss — counting
-        either way."""
+        either way.  An entry whose ``result.json`` does not parse is
+        quarantined and misses."""
         entry = self.entry_dir(fingerprint)
-        if (entry / "result.json").exists():
+        if self._load_result(fingerprint) is not None:
             self.metrics.counter("service.cache.hits").inc()
             self._touch(entry)
             return entry
@@ -158,6 +166,61 @@ class ResultCache:
         self.metrics.counter("service.cache.stores").inc()
         self._evict_lru(keep=fingerprint)
         return entry
+
+    def result_doc(self, fingerprint: str) -> Optional[dict]:
+        """The parsed ``result.json`` of an entry, or ``None`` when there
+        is no entry or it was quarantined because the file does not
+        parse to a JSON object."""
+        doc = self._load_result(fingerprint)
+        if doc is not None:
+            self._touch(self.entry_dir(fingerprint))
+        return doc
+
+    def _load_result(self, fingerprint: str) -> Optional[dict]:
+        try:
+            data = (self.entry_dir(fingerprint) / "result.json").read_bytes()
+        except OSError:  # no entry, or it raced away
+            return None
+        try:
+            doc = json.loads(data.decode("utf-8"))
+        except ValueError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            if isinstance(doc, dict):
+                return doc
+            reason = f"a JSON {type(doc).__name__}, not an object"
+        self.quarantine(fingerprint, reason)
+        return None
+
+    def quarantine(self, fingerprint: str, reason: str) -> Optional[Path]:
+        """Move an unreadable entry whole to the first free
+        ``<root>/quarantine/<fingerprint>[.N]`` (a rename, so the bytes
+        survive for inspection), drop its class marker, log and count
+        it.  Returns the new location, or ``None`` if the entry was
+        already gone."""
+        entry = self.entry_dir(fingerprint)
+        class_key = self.entry_class(fingerprint)
+        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+        target = self.quarantine_dir / fingerprint
+        n = 0
+        while target.exists():
+            n += 1
+            target = self.quarantine_dir / f"{fingerprint}.{n}"
+        try:
+            os.replace(entry, target)
+        except OSError:  # raced away: evicted or quarantined meanwhile
+            return None
+        if class_key is not None:
+            self._unmark_class(class_key, fingerprint)
+        _LOG.warning(
+            "cache entry %s: unreadable result.json (%s); moved aside to "
+            "%s, a resubmission tunes afresh",
+            fingerprint[:16],
+            reason,
+            target,
+        )
+        self.metrics.counter("service.cache.quarantined").inc()
+        return target
 
     def read(self, fingerprint: str, name: str) -> Optional[bytes]:
         """Exact stored bytes of one artifact, or ``None``."""
@@ -240,7 +303,9 @@ class ResultCache:
         Candidates that fail to rebuild or to prove are skipped, logged
         and counted (``service.equiv.candidate_errors``); only a
         completed proof ever serves bytes, so a class-key collision costs
-        a proof attempt, never correctness.
+        a proof attempt, never correctness.  A proved candidate whose
+        ``result.json`` does not parse is quarantined and the walk goes
+        on.
         """
         from repro.analysis.equivalence import Workload, prove_equivalent
         from repro.service.fingerprint import spec_config
@@ -272,7 +337,7 @@ class ResultCache:
             except Exception as exc:  # noqa: BLE001 - best-effort proof
                 self._skip_candidate(candidate, "prove", exc)
                 continue
-            if proof.equivalent:
+            if proof.equivalent and self._load_result(candidate) is not None:
                 self.metrics.counter("service.cache.equiv_hits").inc()
                 return candidate, proof
         return None

@@ -218,12 +218,10 @@ class MappingService:
         if found is None:
             return None
         source_fp, proof = found
-        result_bytes = self.cache.read(source_fp, RESULT_FILENAME)
-        if result_bytes is None:  # pragma: no cover - entry raced away
+        source_doc = self.cache.result_doc(source_fp)
+        if source_doc is None:  # pragma: no cover - entry raced away
             return None
-        result = pullback_result_doc(
-            json.loads(result_bytes.decode("utf-8")), proof, fingerprint
-        )
+        result = pullback_result_doc(source_doc, proof, fingerprint)
         proof_doc = dict(proof.to_doc())
         proof_doc["source"] = source_fp
         files = {

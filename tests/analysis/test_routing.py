@@ -8,8 +8,8 @@ timeline key per hop is the engine's own serial channel key.
 
 from __future__ import annotations
 
-from repro.analysis.routing import RoutingModel, channel_key, routing_model
-from repro.machine import lassen, shepard, single_node
+from repro.analysis.routing import RoutingModel, channel_key
+from repro.machine import MACHINE_ZOO, lassen, shepard, single_node
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import (
     AccessLink,
@@ -19,7 +19,7 @@ from repro.machine.model import (
     Processor,
 )
 from repro.machine.topology import Topology
-from repro.runtime.copies import CopyEngine, HopTable
+from repro.runtime.copies import CopyEngine
 from repro.runtime.events import TimelinePool
 from repro.runtime.instances import CopyNeed
 from repro.util.units import GIB
@@ -65,7 +65,7 @@ class TestChannelKey:
         # The timeline the copy engine reserves is the one the bound
         # attributes the copy's bytes to.
         channels = TimelinePool()
-        engine = CopyEngine(HopTable(Topology(shepard(1))), channels)
+        engine = CopyEngine(Topology(shepard(1)), channels)
         need = CopyNeed(src_mem="n0.fb0", lo=0, hi=1024, src_time=0.0)
         engine.execute(need, "n0.zc", ready=0.0)
         reserved = [name for name, _timeline in channels.items()]
@@ -110,6 +110,38 @@ class TestUnreachable:
         for machine in (shepard(2), lassen(2), single_node()):
             assert RoutingModel(machine).unreachable_pairs() == []
 
+    def test_component_pairs_match_per_pair_routing(self):
+        # Every zoo machine, the island machine, and shepard(2) cut into
+        # one island per node: the pairs read off the connected
+        # components are exactly the pairs a route search cannot join.
+        shepard2 = shepard(2)
+        cut = Machine(
+            name="shepard-cut-2n",
+            processors=shepard2.processors,
+            memories=shepard2.memories,
+            access_links=shepard2.access_links,
+            channels=[
+                chan
+                for chan in shepard2.channels
+                if shepard2.memory(chan.mem_a).node
+                == shepard2.memory(chan.mem_b).node
+            ],
+        )
+        machines = [island_machine(), cut]
+        machines += [build(n) for build in MACHINE_ZOO.values() for n in (1, 2)]
+        for machine in machines:
+            topology = Topology(machine)
+            mems = [m.uid for m in machine.memories]
+            per_pair = [
+                (src, dst)
+                for i, src in enumerate(mems)
+                for dst in mems[i + 1 :]
+                if topology.copy_path(src, dst) is None
+            ]
+            assert RoutingModel(machine).unreachable_pairs() == per_pair
+            assert Topology(machine).connected() == (not per_pair)
+        assert len(RoutingModel(cut).unreachable_pairs()) == 4 * 4
+
     def test_island_memory_is_reported(self):
         model = RoutingModel(island_machine())
         assert model.unreachable_pairs() == [
@@ -122,10 +154,14 @@ class TestUnreachable:
 
 
 class TestModelCache:
+    """Models hold no routes of their own: every model of one machine
+    object reads that machine's one shared route table."""
+
     def test_same_machine_object_hits_cache(self):
         machine = shepard(1)
-        assert routing_model(machine) is routing_model(machine)
+        assert RoutingModel(machine).topology is Topology.of(machine)
+        assert RoutingModel(machine).topology is RoutingModel(machine).topology
 
     def test_equal_but_distinct_machines_get_distinct_models(self):
         a, b = shepard(1), shepard(1)
-        assert routing_model(a) is not routing_model(b)
+        assert RoutingModel(a).topology is not RoutingModel(b).topology

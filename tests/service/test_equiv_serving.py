@@ -15,6 +15,7 @@ import time
 
 from repro.machine import MACHINE_ZOO
 from repro.service import JobState, JobStore, MappingService
+from repro.service.result import RESULT_FILENAME
 from repro.util.units import GIB
 
 BASE = {
@@ -142,6 +143,69 @@ class TestEquivalentServing:
         by_fp = {e["fingerprint"]: e for e in doc["entries"]}
         assert by_fp[first.fingerprint]["equivalent"] is False
         assert sum(e["equivalent"] for e in doc["entries"]) == 1
+
+
+def _drain(service):
+    """Run every queued job synchronously (no worker thread)."""
+    while True:
+        record = service.store.claim_next()
+        if record is None:
+            return
+        service.worker.execute(record)
+
+
+class TestCorruptResult:
+    """A cached ``result.json`` that does not parse is never served: the
+    entry is quarantined and counted, and the submission tunes afresh
+    to the bytes an intact cache would have served."""
+
+    def test_exact_resubmission_retunes(self, tmp_path):
+        service = MappingService(tmp_path / "s")
+        first = service.submit(dict(BASE))
+        _drain(service)
+        result = service.cache.entry_dir(first.fingerprint) / RESULT_FILENAME
+        intact = result.read_bytes()
+        result.write_bytes(intact[:100])
+
+        again = service.submit(dict(BASE))
+        assert again.state is JobState.SUBMITTED
+        assert not again.cache_hit
+        _drain(service)
+        done = service.store.get(again.job_id)
+        assert done.state is JobState.DONE
+        assert done.simulations > 0
+        served, _ = service.artifact(again.job_id, "report")
+        assert served == intact
+        moved = service.cache.quarantine_dir / first.fingerprint
+        assert (moved / RESULT_FILENAME).read_bytes() == intact[:100]
+        counters = service.metrics.as_dict()["counters"]
+        assert counters["service.cache.quarantined"] == 1
+
+    def test_equivalent_resubmission_retunes(self, tmp_path):
+        spec = dict(BASE, machine_params=_inflated_caps())
+        reference = MappingService(tmp_path / "ref")
+        ref_record = reference.submit(dict(spec))
+        _drain(reference)
+        intact, _ = reference.artifact(ref_record.job_id, "report")
+
+        service = MappingService(tmp_path / "s")
+        first = service.submit(dict(BASE))
+        _drain(service)
+        result = service.cache.entry_dir(first.fingerprint) / RESULT_FILENAME
+        result.write_bytes(result.read_bytes()[:100])
+
+        equiv = service.submit(dict(spec))
+        assert equiv.state is JobState.SUBMITTED
+        assert not equiv.cache_hit
+        _drain(service)
+        done = service.store.get(equiv.job_id)
+        assert done.state is JobState.DONE
+        assert done.simulations > 0
+        served, _ = service.artifact(equiv.job_id, "report")
+        assert served == intact
+        counters = service.metrics.as_dict()["counters"]
+        assert counters["service.cache.quarantined"] == 1
+        assert "service.cache.equiv_hits" not in counters
 
 
 class TestMultiWorker:

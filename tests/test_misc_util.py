@@ -5,7 +5,7 @@ import logging
 import pytest
 
 from repro.machine import Topology, shepard
-from repro.runtime.copies import DMA_EFFICIENCY, CopyEngine, HopTable
+from repro.runtime.copies import DMA_EFFICIENCY, CopyEngine
 from repro.runtime.events import TimelinePool
 from repro.runtime.instances import CopyNeed
 from repro.util.logging import configure, get_logger, kv
@@ -40,7 +40,7 @@ class TestCopyEngine:
     @pytest.fixture
     def engine(self):
         machine = shepard(2)
-        return CopyEngine(HopTable(Topology(machine)), TimelinePool())
+        return CopyEngine(Topology(machine), TimelinePool())
 
     def test_duration_includes_dma_efficiency(self, engine):
         need = CopyNeed(src_mem="n0.fb0", lo=0, hi=64 * MIB, src_time=0.0)
