@@ -106,9 +106,9 @@ SMOKE_CONFIGS = {
 SPEEDUP_APPS = ("circuit", "stencil")
 
 #: Minimum incremental-vs-full throughput ratio for the speedup apps.
-#: The routed schedule-replay bound added a fixed per-candidate analysis
-#: cost to both arms of the A/B (it buys a ~4x cut in simulations on the
-#: pruned path), which dilutes this ratio below its pre-routing ~3x.
+#: The A/B times whole tunes, so the per-candidate work both arms share
+#: (the quick bound, canonicalization) dilutes the ratio below what
+#: simulation alone would show.
 SPEEDUP_FLOOR = 2.5
 
 SEED = 7

@@ -1,43 +1,46 @@
 """Cost bounds: a sound lower bound on simulated makespan.
 
 The paper treats the runtime as a black-box oracle, so every candidate
-mapping costs a full evaluation (§3.1).  This pass prices a mapping in
-two tiers so that the search can skip the evaluations that provably
-cannot win:
+mapping costs a full evaluation (§3.1).  This pass prices a mapping
+without running it, so that the search can skip the evaluations that
+provably cannot win:
 
 * **critical path** — the longest dependence chain, each launch priced
   at its best-case per-point duration on the chosen processor kind
   (fastest processor, cheapest access links) times the unavoidable
   serialisation factor: the most points any one processor runs;
 * **load** — for every concrete processor, the total best-case busy
-  time of the point tasks placed on it;
-* **schedule** — the makespan of the tune's own
-  :class:`~repro.runtime.incremental.IncrementalEngine` run on the
-  mapping, deflated once by :data:`FLOAT_SAFETY`.
+  time of the point tasks placed on it.
 
-The first two are the cheap tier (:meth:`StaticBoundAnalyzer.quick_bound`);
-they replay the executor's own float recurrences with term-by-term
-smaller operands (IEEE rounding is monotone), so each is ``<=`` the
-simulated makespan in floating point.  The second tier runs the engine
-on the candidate.  That is not an evaluation (no profile record, no
-noise draw, no search-clock charge, no ``simulations`` count), but its
-makespan is the simulated one bit for bit — the engine's identity
-contract — so ``schedule`` is below the makespan by exactly the
-deflation.
-
+Together they are the quick bound (:meth:`StaticBoundAnalyzer.quick_bound`),
+the only bound a search prunes on.  Both replay the executor's own float
+recurrences with term-by-term smaller operands (IEEE rounding is
+monotone), so each is ``<=`` the simulated makespan in floating point.
 Both count each processor's points from the runtime placer's own table
 (:meth:`repro.runtime.placement.Placer.point_procs`, read through the
 engine), so they see exactly the executor's assignment.
 
+For analysis only, :meth:`StaticBoundAnalyzer.lower_bound` and
+:meth:`StaticBoundAnalyzer.breakdown` add a third term:
+
+* **schedule** — the makespan of one
+  :class:`~repro.runtime.incremental.IncrementalEngine` run on the
+  mapping, deflated once by :data:`FLOAT_SAFETY`.
+
+That term is one simulation.  ``repro analyze`` uses it (AM401); a tune
+never does, because every engine run a tune makes is a counted
+simulation charged to the search clock.
+
 ``LB = max(critical path, load, schedule)``, and the soundness contract
 (see DESIGN.md) is that ``LB(mapping) <= Simulator.run(mapping).makespan``
-holds *in floating point*.  The search uses the bound for
+holds *in floating point*.  The search uses the quick bound for
 branch-and-bound pruning: a candidate whose bound already exceeds the
 incumbent provably cannot win, so the oracle can skip its evaluation
 without changing any search decision.
 
 :meth:`StaticBoundAnalyzer.breakdown` also reports the mapping's
-mandatory traffic as evidence for the AM402/AM501 diagnostics and the
+mandatory traffic as evidence for the AM402/AM501 diagnostics, and
+:meth:`StaticBoundAnalyzer.gap_ratio` reads the same traffic for the
 report's routed-vs-incident gap ratio.  The traffic comes from a
 timeline-free walk of the coherence layer (the runtime's own
 :class:`~repro.runtime.instances.SegmentMap`) over the engine's
@@ -133,12 +136,13 @@ class StaticBoundAnalyzer:
     """Computes sound makespan lower bounds for (possibly partial)
     mappings of one ``(graph, machine)`` pair.
 
-    ``engine`` is the incremental engine the schedule component runs
-    on.  A tune passes its simulator's own
-    (:attr:`~repro.runtime.simulator.Simulator.engine`), so bound runs
-    and simulations share one launch-cost table and one snapshot chain;
-    that is safe because an engine run is a pure function of the
-    mapping.  Without one, the analyzer builds a private engine.
+    ``engine`` is the incremental engine whose placer and launch-cost
+    table the bounds and the traffic walk read.  A tune passes its
+    simulator's own (:attr:`~repro.runtime.simulator.Simulator.engine`),
+    so the analyses and the simulations share one cost table.  Without
+    one, the analyzer builds a private engine.  Only :meth:`lower_bound`
+    and :meth:`breakdown` run it (their schedule term, one simulation);
+    a tune calls neither.
     """
 
     def __init__(
@@ -514,9 +518,10 @@ class StaticBoundAnalyzer:
 
         A mapping covering every task kind of the graph gets every
         component; a partial mapping gets the critical path only, with
-        undecided kinds priced at their cheapest legal option.  Only
-        this method walks the traffic: it serves the diagnostics and
-        the report's gap ratio, not the search.
+        undecided kinds priced at their cheapest legal option.  The
+        ``schedule`` term of a full mapping is one simulation (an engine
+        run), so this serves analysis only (``repro analyze``'s
+        diagnostics), never the tune path.
         """
         key = mapping.key()
         cached = self._breakdown_cache.get(key)
@@ -561,7 +566,12 @@ class StaticBoundAnalyzer:
         """Sound lower bound on ``Simulator.run(mapping).makespan``:
         :meth:`quick_bound`, raised to the schedule component for a full
         mapping.  Equals ``breakdown(mapping).total`` exactly, without
-        the traffic walk."""
+        the traffic walk.
+
+        The schedule term is one simulation (an engine run), so this is
+        for analysis only (AM401's dominance check); a tune never calls
+        it, because every engine run a tune makes is a counted
+        simulation."""
         self.checks += 1
         key = mapping.key()
         bound = self._bound_cache.get(key)
@@ -582,12 +592,15 @@ class StaticBoundAnalyzer:
         A pure function of ``(graph, machine, mapping)``: it does not
         depend on which candidates the search happened to bound, so
         reports built from it stay bit-identical across
-        checkpoint/resume.
+        checkpoint/resume.  It reads the traffic walk alone, never the
+        engine, so a tune can report it without an uncounted run.
         """
-        bd = self.breakdown(mapping)
-        if bd.communication_incident <= 0.0:
+        if self._is_partial(mapping):
             return 1.0
-        return bd.communication / bd.communication_incident
+        communication, incident = self._communication(mapping)[:2]
+        if incident <= 0.0:
+            return 1.0
+        return communication / incident
 
     def _quick(self, mapping: Mapping) -> Tuple[bool, float]:
         """``(partial, quick bound)`` for ``mapping``, cached per key."""
@@ -604,14 +617,12 @@ class StaticBoundAnalyzer:
         """Cheap sound lower bound: critical path and load only, no
         engine run.
 
-        Weaker than :meth:`lower_bound` but costs no run, so it is the
-        right price for *ordering* decisions — seeding and
-        best-bound-first move ranking — where only the relative ranking
-        matters and a sound but loose value cannot change correctness.
-        :meth:`lower_bound` takes its max over the same floats, so
-        ``quick_bound(m) <= lower_bound(m)`` holds exactly: the oracle
-        prunes on it first and runs the engine only when it cannot
-        decide.
+        The only bound a tune reads: the oracle prunes on it, and the
+        bound-guided start and best-bound-first move ranking order by
+        it, where only the relative ranking matters and a sound but
+        loose value cannot change correctness.  :meth:`lower_bound`
+        takes its max over the same floats, so ``quick_bound(m) <=
+        lower_bound(m)`` holds exactly.
         """
         return self._quick(mapping)[1]
 

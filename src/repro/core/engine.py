@@ -122,9 +122,11 @@ class TuningReport:
     #: machines without interchangeable kinds).
     symmetry_folds: int = 0
     #: Novel mappings the runtime machinery processed (deterministic
-    #: executions plus in-planner OOM discoveries).  After a resume this
-    #: counts only the work done since the restart — checkpointed
-    #: evaluations replay without touching the runtime machinery.
+    #: executions plus in-planner OOM discoveries).  Bounds run no
+    #: engine, so an untraced ``workers=1`` tune's count equals its
+    #: engine runs.  After a resume this counts only the work done since
+    #: the restart — checkpointed evaluations replay without touching
+    #: the runtime machinery.
     simulations: int = 0
     #: Fault-tolerance accounting (repro.resilience).
     resumed: bool = False
@@ -469,9 +471,10 @@ class TuningEngine:
             )
 
             # Bound-pruned candidates have no profile record; any that
-            # could plausibly rank among the finalists is simulated now
-            # so the finalist selection below sees exactly the records
-            # an unpruned run would have ranked.
+            # could plausibly rank among the finalists is simulated (and
+            # charged to the search clock) now so the finalist selection
+            # below sees exactly the records an unpruned run would have
+            # ranked.
             oracle.settle_pruned(FINAL_CANDIDATES)
 
             # Final step (§5): re-measure the top candidates with more

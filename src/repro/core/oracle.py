@@ -39,19 +39,9 @@ modes.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    TypeVar,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.bounds import FLOAT_SAFETY
 from repro.obs.metrics import MetricsRegistry, WallBudget
@@ -72,64 +62,6 @@ from repro.util.logging import get_logger, kv
 __all__ = ["OracleConfig", "SimulationOracle"]
 
 _LOG = get_logger("core.oracle")
-
-T = TypeVar("T")
-
-
-class _CandidateBound:
-    """One candidate's lower bound on its measured mean, priced in two
-    tiers on the spill-planned mapping ``executed``: ``quick`` (critical
-    path and load) when the entry is created, ``full`` (adds the
-    schedule component, an engine run) only when a decision needs it.
-    Both are scaled by the same noise ``factor`` and ``FLOAT_SAFETY``,
-    and the analyzer's quick bound is the max over a subset of the full
-    bound's floats, so ``quick <= full`` exactly."""
-
-    __slots__ = ("executed", "factor", "quick", "full")
-
-    def __init__(self, executed: Mapping, factor: float, quick: float):
-        self.executed = executed
-        self.factor = factor
-        self.quick = quick
-        self.full: Optional[float] = None
-
-
-def best_bound_first(
-    items: Iterable[T],
-    quick: Callable[[T], Optional[float]],
-    full: Callable[[T], float],
-    cutoff: Callable[[], float],
-) -> Iterator[T]:
-    """Yield ``items`` in ascending ``full`` order, computing ``full``
-    only for items that reach the front.
-
-    The order is exactly a stable sort by full bound: equal bounds keep
-    input order, and items without a bound (``quick`` is ``None``) come
-    first.  Each item enters a heap keyed ``(quick, index)`` and is
-    re-keyed ``(full, index)`` when it first reaches the front; since
-    ``quick <= full``, an item popped with its full key is below every
-    remaining item's full key.  Iteration stops as soon as the front key
-    exceeds ``cutoff()`` (read before every item, so it may tighten as
-    the caller consumes items): every remaining full bound is at least
-    that key.
-    """
-    heap = []
-    for index, item in enumerate(items):
-        value = quick(item)
-        if value is None:
-            heap.append((-math.inf, index, True, item))
-        else:
-            heap.append((value, index, False, item))
-    heapq.heapify(heap)
-    while heap:
-        value, index, refined, item = heap[0]
-        if value > cutoff():
-            return
-        if refined:
-            heapq.heappop(heap)
-            yield item
-        else:
-            heapq.heapreplace(heap, (full(item), index, True, item))
 
 
 @dataclass(frozen=True)
@@ -211,15 +143,16 @@ class SimulationOracle:
         #: engine gates it on ``spill=False``.
         self.feasibility = feasibility
         #: optional :class:`repro.analysis.bounds.StaticBoundAnalyzer`:
-        #: once an incumbent exists, candidates whose sound makespan
-        #: lower bound already meets or exceeds it are rejected without
-        #: an evaluation (the full tier runs the simulator's engine but
-        #: records, draws and counts nothing).  Because the bound
-        #: provably under-estimates the measured mean and every search
-        #: accepts only strict improvements, the pruned search takes
-        #: the exact same trajectory as the unpruned one.  The engine
-        #: gates this on algorithms that only *compare* outcomes
-        #: (CD/CCD/random) and on the default makespan metric.
+        #: once an incumbent exists, candidates whose quick bound
+        #: (critical path and load, no engine run) already meets or
+        #: exceeds it are rejected without an evaluation.  Every engine
+        #: run is an evaluation: a candidate the quick bound cannot
+        #: decide is simulated and counted.  Because the bound provably
+        #: under-estimates the measured mean and every search accepts
+        #: only strict improvements, the pruned search takes the exact
+        #: same trajectory as the unpruned one.  The engine gates this
+        #: on algorithms that only *compare* outcomes (CD/CCD/random)
+        #: and on the default makespan metric.
         self.bounds = bounds
         #: All evaluation accounting lives in one metrics registry
         #: (:mod:`repro.obs.metrics`); the attribute-style reads the
@@ -264,11 +197,12 @@ class SimulationOracle:
         #: consumed the first time the replayed search re-suggests them.
         self._replay: Dict[tuple, ReplayEntry] = {}
         #: Bound-pruned candidates in pruning order (canonical key →
-        #: mapping), revisited by :meth:`settle_pruned`.
-        self._bound_ledger: Dict[tuple, Mapping] = {}
-        #: Per-candidate tiered bound on measured mean (None = no sound
-        #: bound).
-        self._bound_cache: Dict[tuple, Optional[_CandidateBound]] = {}
+        #: (bound that pruned it, mapping)), revisited by
+        #: :meth:`settle_pruned`.
+        self._bound_ledger: Dict[tuple, Tuple[float, Mapping]] = {}
+        #: Per-candidate scaled quick bound on measured mean (None = no
+        #: sound bound: the spill plan overflows).
+        self._bound_cache: Dict[tuple, Optional[float]] = {}
         #: Keys whose profile records exist only because of settling —
         #: excluded from checkpoint replay ledgers, since an
         #: uninterrupted run never *evaluated* them.
@@ -514,7 +448,7 @@ class SimulationOracle:
         lb_perf = self._pruning_bound(mapping)
         if lb_perf is not None:
             self._bound_pruned.inc()
-            self._bound_ledger.setdefault(mapping.key(), mapping)
+            self._bound_ledger.setdefault(mapping.key(), (lb_perf, mapping))
             # Not recorded in profiles: the measured mean is unknown.
             # The pessimistic-but-sound performance makes every
             # strict-improvement search reject the candidate exactly as
@@ -566,18 +500,17 @@ class SimulationOracle:
     # ------------------------------------------------------------------
     # Bound-based pruning (see repro.analysis.bounds)
     # ------------------------------------------------------------------
-    def _candidate_bound(
-        self, mapping: Mapping
-    ) -> Optional[_CandidateBound]:
-        """The tiered lower bound on the mean performance
-        :meth:`_evaluate` would report for ``mapping`` (already
-        canonical), or ``None`` when no sound bound exists.
+    def _candidate_bound(self, mapping: Mapping) -> Optional[float]:
+        """A lower bound on the mean performance :meth:`_evaluate` would
+        report for ``mapping`` (already canonical), or ``None`` when no
+        sound bound exists.
 
-        The makespan bound is priced on the mapping the simulator would
-        actually execute (spill demotions applied) and scaled by the
-        candidate's exact mean noise factor; the extra ``FLOAT_SAFETY``
-        deflation dwarfs the rounding of the sample-mean sum.  Only the
-        quick tier is priced here; :meth:`_full_bound` adds the rest.
+        The quick makespan bound is priced on the mapping the simulator
+        would actually execute (spill demotions applied) and scaled by
+        the candidate's exact mean noise factor; the extra
+        ``FLOAT_SAFETY`` deflation dwarfs the rounding of the
+        sample-mean sum.  It runs no engine: an engine run is a
+        simulation, and a simulation is an evaluation.
         """
         key = mapping.key()
         if key in self._bound_cache:
@@ -586,43 +519,25 @@ class SimulationOracle:
             executed = self.simulator.spill_plan(mapping)
         except OOMError:
             # Let the normal path record the runtime OOM failure.
-            bound: Optional[_CandidateBound] = None
+            bound: Optional[float] = None
         else:
             factor = self.simulator.noise.mean_factor(
                 key, self.config.runs_per_eval
             )
-            quick = self.bounds.quick_bound(executed) * factor * FLOAT_SAFETY
-            bound = _CandidateBound(executed, factor, quick)
+            bound = self.bounds.quick_bound(executed) * factor * FLOAT_SAFETY
         self._bound_cache[key] = bound
         return bound
 
-    def _full_bound(self, bound: _CandidateBound) -> float:
-        """The full-tier value of ``bound``, running the engine once."""
-        if bound.full is None:
-            lower = self.bounds.lower_bound(bound.executed)
-            bound.full = lower * bound.factor * FLOAT_SAFETY
-        return bound.full
-
     def _pruning_bound(self, mapping: Mapping) -> Optional[float]:
         """The bound that proves ``mapping`` (canonical) cannot beat the
-        incumbent right now, or ``None`` when it might.
-
-        The quick tier decides whenever it already reaches the
-        incumbent; the full tier is priced only when the decision is
-        still open.  Since ``quick <= full``, the decision is the one
-        the full bound alone would make."""
+        incumbent right now, or ``None`` when it might."""
         if self.bounds is None or self.config.metric is not None:
             return None
         best = self.best_performance
         if not math.isfinite(best):
             return None
         bound = self._candidate_bound(mapping)
-        if bound is None:
-            return None
-        if bound.quick >= best:
-            return bound.quick
-        full = self._full_bound(bound)
-        return full if full >= best else None
+        return bound if bound is not None and bound >= best else None
 
     def would_bound_prune(self, mapping: Mapping) -> bool:
         """Whether :meth:`evaluate` would reject ``mapping`` (canonical)
@@ -639,35 +554,31 @@ class SimulationOracle:
         A pruned candidate is skipped only when its bound already
         exceeds the ``top_n``-th best recorded mean: its true mean is
         then provably worse, so it could not be a finalist in the
-        unpruned run either.  Candidates settle best-bound-first (see
-        :func:`best_bound_first`: ascending full bound, ties in pruning
-        order) and the cut-off is recomputed before every candidate —
-        each settled mean can only tighten (never relax) the
-        ``top_n``-th best, so a skip against an intermediate threshold
-        implies a skip against the final one, and the surviving top-``n``
-        is exactly the unpruned run's.  Settled candidates get the exact
-        offset-0 samples :meth:`_evaluate` would have drawn; search
-        accounting (evaluated/failed counters, clocks, trace, best) is
-        deliberately untouched — settling happens after the search.
+        unpruned run either.  Candidates settle in ascending bound order
+        (a stable sort, so ties keep pruning order) and the cut-off is
+        recomputed before every candidate — each settled mean can only
+        tighten (never relax) the ``top_n``-th best, so a skip against
+        an intermediate threshold implies a skip against the final one,
+        and the surviving top-``n`` is exactly the unpruned run's.  The
+        walk stops at the first candidate above the cut-off: every later
+        bound is at least as large.
+
+        Settled candidates get the exact offset-0 samples
+        :meth:`_evaluate` would have drawn, and each settled simulation
+        is charged to the search clock like :meth:`measure_more` (its
+        makespan times ``runs_per_eval``, all of it evaluating time).
+        The evaluated/failed counters, trace and best are untouched —
+        settling happens after the search, and ``bound_settled`` counts
+        it.
         """
         settled = 0
-        if not self._bound_ledger:
-            return settled
-
-        def threshold() -> float:
+        ledger = sorted(
+            self._bound_ledger.values(), key=lambda entry: entry[0]
+        )
+        for bound, mapping in ledger:
             ranked = self.profiles.best(top_n)
-            return ranked[-1].mean if len(ranked) >= top_n else math.inf
-
-        def quick(mapping: Mapping) -> Optional[float]:
-            bound = self._candidate_bound(mapping)
-            return None if bound is None else bound.quick
-
-        def full(mapping: Mapping) -> float:
-            return self._full_bound(self._candidate_bound(mapping))
-
-        for mapping in best_bound_first(
-            self._bound_ledger.values(), quick, full, threshold
-        ):
+            if len(ranked) >= top_n and bound > ranked[-1].mean:
+                break
             if self.profiles.lookup(mapping) is not None:
                 continue
             key = mapping.key()
@@ -694,6 +605,9 @@ class SimulationOracle:
                 self.profiles.record(
                     mapping, samples, makespan=result.makespan
                 )
+                eval_seconds = result.makespan * self.config.runs_per_eval
+                self._sim_elapsed.inc(eval_seconds)
+                self._sim_evaluating.inc(eval_seconds)
             self._settled_keys.add(key)
             self._bound_settled.inc()
             settled += 1

@@ -99,14 +99,13 @@ class Simulator:
         #: feasibility pass proves OOMs with this same planner.
         self.planner = MemoryPlanner(graph, machine, memoize=incremental)
         #: The incremental engine untraced runs go through (``None``
-        #: when ``incremental`` is off).  A tune's bound analyzer runs
-        #: its schedule component on this same engine.
+        #: when ``incremental`` is off).  A tune's bound analyzer reads
+        #: its placer and launch-cost table but never runs it.
         self.engine: Optional[IncrementalEngine] = (
             IncrementalEngine(graph, machine) if incremental else None
         )
         #: Incremental-effectiveness counters (all-zero when the engine
-        #: is disabled); they count the bound analyzer's runs on the
-        #: engine too.  Kept out of the oracle's metrics registry so
+        #: is disabled).  Kept out of the oracle's metrics registry so
         #: checkpoints stay byte-identical across the two modes.
         self.incremental_stats: IncrementalStats = (
             self.engine.stats if self.engine else IncrementalStats()

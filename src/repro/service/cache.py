@@ -32,10 +32,12 @@ least-recently-used entries (by ``.atime``, touched on every lookup and
 read) until the cache fits.
 
 An entry is served only if its ``result.json`` parses to a JSON
-object.  One that does not (a truncated or overwritten file) is moved
+object whose ``fingerprint`` is the entry's own.  One that does not (a
+truncated or overwritten file, or another workload's result) is moved
 whole to ``<root>/quarantine/<fingerprint>[.N]``, logged and counted
-(``service.cache.quarantined``), and the lookup misses, so the
-submission tunes afresh and republishes the entry.
+(``service.cache.quarantined``): a lookup misses, so the submission
+tunes afresh and republishes the entry, and a done job's report read
+answers 404.
 
 Hit/miss/store/eviction/quarantine counters go through the service's
 :class:`repro.obs.metrics.MetricsRegistry` and out the Prometheus text
@@ -108,7 +110,7 @@ class ResultCache:
 
     def lookup(self, fingerprint: str) -> Optional[Path]:
         """The entry directory on a hit, ``None`` on a miss — counting
-        either way.  An entry whose ``result.json`` does not parse is
+        either way.  An entry that fails :meth:`checked_result` is
         quarantined and misses."""
         entry = self.entry_dir(fingerprint)
         if self._load_result(fingerprint) is not None:
@@ -169,8 +171,7 @@ class ResultCache:
 
     def result_doc(self, fingerprint: str) -> Optional[dict]:
         """The parsed ``result.json`` of an entry, or ``None`` when there
-        is no entry or it was quarantined because the file does not
-        parse to a JSON object."""
+        is no entry or it was quarantined (see :meth:`checked_result`)."""
         doc = self._load_result(fingerprint)
         if doc is not None:
             self._touch(self.entry_dir(fingerprint))
@@ -181,19 +182,29 @@ class ResultCache:
             data = (self.entry_dir(fingerprint) / "result.json").read_bytes()
         except OSError:  # no entry, or it raced away
             return None
+        return self.checked_result(fingerprint, data)
+
+    def checked_result(self, fingerprint: str, data: bytes) -> Optional[dict]:
+        """``data``, the entry's ``result.json`` bytes, parsed — if they
+        are a JSON object naming ``fingerprint``.  Otherwise the entry is
+        quarantined and ``None`` returned."""
         try:
             doc = json.loads(data.decode("utf-8"))
         except ValueError as exc:
             reason = f"{type(exc).__name__}: {exc}"
         else:
-            if isinstance(doc, dict):
+            if not isinstance(doc, dict):
+                reason = f"a JSON {type(doc).__name__}, not an object"
+            elif doc.get("fingerprint") != fingerprint:
+                owner = str(doc.get("fingerprint"))[:16]
+                reason = f"written for fingerprint {owner}"
+            else:
                 return doc
-            reason = f"a JSON {type(doc).__name__}, not an object"
         self.quarantine(fingerprint, reason)
         return None
 
     def quarantine(self, fingerprint: str, reason: str) -> Optional[Path]:
-        """Move an unreadable entry whole to the first free
+        """Move a bad entry whole to the first free
         ``<root>/quarantine/<fingerprint>[.N]`` (a rename, so the bytes
         survive for inspection), drop its class marker, log and count
         it.  Returns the new location, or ``None`` if the entry was
@@ -213,7 +224,7 @@ class ResultCache:
         if class_key is not None:
             self._unmark_class(class_key, fingerprint)
         _LOG.warning(
-            "cache entry %s: unreadable result.json (%s); moved aside to "
+            "cache entry %s: bad result.json (%s); moved aside to "
             "%s, a resubmission tunes afresh",
             fingerprint[:16],
             reason,

@@ -58,12 +58,16 @@ __all__ = [
 
 #: Version marker hashed into every fingerprint; bump when the result
 #: document or the engine's deterministic contract changes shape, which
-#: invalidates every previously cached entry at once.
-FINGERPRINT_FORMAT = "automap-workload-v1"
+#: invalidates every previously cached entry at once.  v2: a
+#: bound-pruned tune counts every engine run as a simulation, so its
+#: ``evaluated``, ``search_seconds`` and trace differ from v1's.
+FINGERPRINT_FORMAT = "automap-workload-v2"
 
 #: Version marker of the *erased* (equivalence-class) key; bump together
-#: with any change to the AM6xx prover's lemmas.
-CLASS_KEY_FORMAT = "automap-workload-class-v1"
+#: with any change to the AM6xx prover's lemmas, and with
+#: :data:`FINGERPRINT_FORMAT` (the class walk must not reach an entry
+#: computed under an older one).
+CLASS_KEY_FORMAT = "automap-workload-class-v2"
 
 
 def canonical_graph_doc(graph: "TaskGraph") -> dict:

@@ -265,7 +265,9 @@ class MappingService:
         return record
 
     def artifact(self, job_id: str, name: str) -> Tuple[bytes, str]:
-        """The exact stored bytes of one artifact of a finished job."""
+        """The exact stored bytes of one artifact of a finished job.  A
+        report that fails the cache's entry check is quarantined with
+        its entry and answered with a 404."""
         if name not in _ARTIFACTS:
             raise ServiceError(404, f"no such artifact: {name}")
         record = self.job_record(job_id)
@@ -282,6 +284,15 @@ class MappingService:
         if data is None:
             raise ServiceError(
                 404, f"job {job_id} has no {name} artifact"
+            )
+        if (
+            filename == RESULT_FILENAME
+            and self.cache.checked_result(record.fingerprint, data) is None
+        ):
+            raise ServiceError(
+                404,
+                f"job {job_id}'s cached report failed its check and was "
+                f"quarantined; resubmitting the job tunes it afresh",
             )
         return data, content_type
 

@@ -7,18 +7,20 @@ at least two of the four stencil/circuit x shepard/lassen configs (in
 practice: on all of them).  Pruning only skips candidates whose static
 lower bound proves they cannot beat the incumbent, so the searches
 take the same trajectory; the pruned run simply does not pay for the
-doomed simulations.
+doomed simulations.  And the bound is static: every engine run a
+pruned tune makes is one of its counted simulations.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.bounds import StaticBoundAnalyzer
 from repro.apps import make_app
-from repro.core import OracleConfig, SimulationOracle, TuneRequest, TuningEngine
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import lassen, shepard
 from repro.runtime import SimConfig
+from repro.runtime.executor import Executor
+from repro.runtime.incremental import IncrementalEngine
 
 SEED = 11
 
@@ -31,8 +33,12 @@ CONFIGS = [
     ("circuit", lassen, "cd"),
 ]
 
+#: A pruned tune also checked with incremental simulation off, where
+#: simulations run on the full executor.
+FULL_EXECUTOR_CONFIG = ("stencil", shepard, "ccd")
 
-def _tune(app_name, machine_factory, algorithm, bound_prune):
+
+def _tune(app_name, machine_factory, algorithm, bound_prune, incremental=True):
     machine = machine_factory(2)
     app = make_app(app_name)
     request = TuneRequest(
@@ -40,12 +46,34 @@ def _tune(app_name, machine_factory, algorithm, bound_prune):
         machine,
         algorithm=algorithm,
         oracle_config=OracleConfig(max_suggestions=600),
-        sim_config=SimConfig(noise_sigma=0.04, seed=SEED, spill=True),
+        sim_config=SimConfig(
+            noise_sigma=0.04, seed=SEED, spill=True, incremental=incremental
+        ),
         space=app.space(machine),
         seed=SEED,
         bound_prune=bound_prune,
     )
     return TuningEngine().tune(request)
+
+
+def _counting_engine_runs(*args, **kwargs):
+    """``(report, engine runs)`` of one tune: how often it called
+    ``IncrementalEngine.run`` or ``Executor.run``."""
+    runs = 0
+
+    def counting(original):
+        def run(self, *run_args, **run_kwargs):
+            nonlocal runs
+            runs += 1
+            return original(self, *run_args, **run_kwargs)
+
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (IncrementalEngine, Executor):
+            patch.setattr(cls, "run", counting(cls.run))
+        report = _tune(*args, **kwargs)
+    return report, runs
 
 
 def _improvements(report):
@@ -59,37 +87,21 @@ def _improvements(report):
 
 @pytest.fixture(scope="module")
 def tuned():
-    """Both tunes of every config, plus two counts over the pruned
-    tunes: full-bound walks and distinct bound-pruned candidates."""
-    walks = 0
-    pruned = set()
-    lower_bound = StaticBoundAnalyzer.lower_bound
-    evaluate = SimulationOracle.evaluate
-
-    def counting_lower_bound(self, mapping):
-        nonlocal walks
-        walks += 1
-        return lower_bound(self, mapping)
-
-    def recording_evaluate(self, mapping):
-        outcome = evaluate(self, mapping)
-        if (outcome.reason or "").startswith("bound-pruned"):
-            pruned.add((id(self), self.canonical(mapping).key()))
-        return outcome
-
+    """Both tunes of every config, and ``(simulations, engine runs)``
+    of every pruned tune, plus one with incremental simulation off."""
     pairs = {}
+    counted = {}
     for app, factory, algo in CONFIGS:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                StaticBoundAnalyzer, "lower_bound", counting_lower_bound
-            )
-            patch.setattr(SimulationOracle, "evaluate", recording_evaluate)
-            with_prune = _tune(app, factory, algo, True)
-        pairs[(app, factory.__name__, algo)] = (
-            with_prune,
-            _tune(app, factory, algo, False),
-        )
-    return pairs, walks, len(pruned)
+        config = (app, factory.__name__, algo)
+        with_prune, runs = _counting_engine_runs(app, factory, algo, True)
+        counted[config] = (with_prune.simulations, runs)
+        pairs[config] = (with_prune, _tune(app, factory, algo, False))
+    app, factory, algo = FULL_EXECUTOR_CONFIG
+    report, runs = _counting_engine_runs(
+        app, factory, algo, True, incremental=False
+    )
+    counted[(app, factory.__name__, algo, "full")] = (report.simulations, runs)
+    return pairs, counted
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +157,11 @@ class TestBoundPruneAcceptance:
             if pruned.bound_pruned:
                 assert "bound pruning" in pruned.describe()
 
-    def test_quick_bound_spares_full_walks(self, tuned):
-        """Tiered pricing: a candidate whose quick bound already reaches
-        the incumbent is pruned without a full bound, and settling walks
-        only the candidates it reaches — so across the configs there
-        are fewer full walks than distinct pruned candidates."""
-        _pairs, walks, pruned = tuned
-        assert pruned > 0
-        assert walks < pruned, (walks, pruned)
+    def test_simulations_count_every_engine_run(self, tuned):
+        """No bound runs the engine behind the accounting: with trace
+        off and one worker, a pruned tune's ``simulations`` is exactly
+        its number of engine runs, in both simulation modes."""
+        _pairs, counted = tuned
+        for config, (simulations, runs) in counted.items():
+            assert runs > 0, config
+            assert simulations == runs, config

@@ -9,7 +9,9 @@ from repro.obs.metrics import MetricsRegistry, to_prometheus_text
 from repro.service.cache import ResultCache
 
 FP = "a" * 64
-RESULT = b'{"best": 1}\n'
+#: A result document names its entry's fingerprint (a lookup
+#: quarantines any other).
+RESULT = b'{"best": 1, "fingerprint": "' + FP.encode() + b'"}\n'
 
 
 class TestLookup:

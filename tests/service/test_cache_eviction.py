@@ -19,6 +19,12 @@ def _fp(i: int) -> str:
     return f"{i:02d}" + "f" * 62
 
 
+def _result(i: int) -> bytes:
+    """A result document naming entry ``i``'s fingerprint, which a
+    lookup checks."""
+    return b'{"best": 1, "fingerprint": "' + _fp(i).encode() + b'"}\n'
+
+
 class TestSizeAccounting:
     def test_entry_and_total_bytes(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -75,20 +81,20 @@ class TestEviction:
 
     def test_lru_evicts_least_recently_used(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put(_fp(0), {"result.json": RESULT})
+        cache.put(_fp(0), {"result.json": _result(0)})
         # Budget: three entries fit, a fourth does not (sized from a
         # real entry, which also holds its .atime stamp).
         budget = 3 * cache.entry_bytes(_fp(0)) + 10
         cache.max_bytes = budget
         time.sleep(0.01)
-        cache.put(_fp(1), {"result.json": RESULT})
+        cache.put(_fp(1), {"result.json": _result(1)})
         time.sleep(0.01)
-        cache.put(_fp(2), {"result.json": RESULT})
+        cache.put(_fp(2), {"result.json": _result(2)})
         # Touch the oldest so entry 1 becomes the LRU victim.
         time.sleep(0.01)
         assert cache.lookup(_fp(0)) is not None
         time.sleep(0.01)
-        cache.put(_fp(3), {"result.json": RESULT})
+        cache.put(_fp(3), {"result.json": _result(3)})
         assert cache.contains(_fp(0))
         assert not cache.contains(_fp(1))
         assert cache.contains(_fp(2))

@@ -13,9 +13,12 @@ import json
 import threading
 import time
 
+import pytest
+
 from repro.machine import MACHINE_ZOO
 from repro.service import JobState, JobStore, MappingService
-from repro.service.result import RESULT_FILENAME
+from repro.service.http import ServiceError
+from repro.service.result import RESULT_FILENAME, result_json_bytes
 from repro.util.units import GIB
 
 BASE = {
@@ -155,9 +158,54 @@ def _drain(service):
 
 
 class TestCorruptResult:
-    """A cached ``result.json`` that does not parse is never served: the
-    entry is quarantined and counted, and the submission tunes afresh
-    to the bytes an intact cache would have served."""
+    """A cached ``result.json`` that does not parse, or that names
+    another fingerprint, is never served: the entry is quarantined and
+    counted, and the submission tunes afresh to the bytes an intact
+    cache would have served."""
+
+    def _done_entry(self, service):
+        """A finished BASE job and its cached result file's path."""
+        record = service.submit(dict(BASE))
+        _drain(service)
+        entry = service.cache.entry_dir(record.fingerprint)
+        return record, entry / RESULT_FILENAME
+
+    def test_report_of_a_truncated_entry_is_quarantined(self, tmp_path):
+        service = MappingService(tmp_path / "s")
+        first, result = self._done_entry(service)
+        intact = result.read_bytes()
+        result.write_bytes(intact[:100])
+
+        with pytest.raises(ServiceError, match="quarantined") as raised:
+            service.artifact(first.job_id, "report")
+        assert raised.value.status == 404
+        moved = service.cache.quarantine_dir / first.fingerprint
+        assert (moved / RESULT_FILENAME).read_bytes() == intact[:100]
+        counters = service.metrics.as_dict()["counters"]
+        assert counters["service.cache.quarantined"] == 1
+
+        again = service.submit(dict(BASE))
+        assert not again.cache_hit
+        _drain(service)
+        served, _ = service.artifact(again.job_id, "report")
+        assert served == intact
+
+    def test_entry_of_another_fingerprint_is_not_served(self, tmp_path):
+        service = MappingService(tmp_path / "s")
+        first, result = self._done_entry(service)
+        intact = result.read_bytes()
+        doc = json.loads(intact)
+        doc["fingerprint"] = "0" * 64
+        result.write_bytes(result_json_bytes(doc))
+
+        again = service.submit(dict(BASE))
+        assert again.state is JobState.SUBMITTED
+        assert not again.cache_hit
+        _drain(service)
+        served, _ = service.artifact(again.job_id, "report")
+        assert served == intact
+        counters = service.metrics.as_dict()["counters"]
+        assert counters["service.cache.quarantined"] == 1
 
     def test_exact_resubmission_retunes(self, tmp_path):
         service = MappingService(tmp_path / "s")

@@ -151,31 +151,32 @@ class TestMeasureMore:
 
 
 class _StubBounds:
-    """A bound analyzer with fixed tier values that counts full walks."""
+    """A bound analyzer with a fixed quick bound that counts
+    ``lower_bound`` calls (an engine run each, which a tune never
+    makes)."""
 
-    def __init__(self, quick: float, full: float) -> None:
+    def __init__(self, quick: float) -> None:
         self.quick = quick
-        self.full = full
-        self.full_calls = 0
+        self.lower_bound_calls = 0
 
     def quick_bound(self, mapping):
         return self.quick
 
     def lower_bound(self, mapping):
-        self.full_calls += 1
-        return self.full
+        self.lower_bound_calls += 1
+        return self.quick
 
 
 class TestTieredBoundPrune:
-    """The quick bound decides first; the full bound is walked only
-    while the prune decision is still open."""
+    """One tier: the quick bound decides, and a candidate it cannot
+    prune is evaluated; ``lower_bound`` is never priced."""
 
     INCUMBENT = 1.0
 
-    def _oracle(self, diamond_graph, mini_machine, quick, full):
+    def _oracle(self, diamond_graph, mini_machine, quick):
         # Noise-free, so the mean factor is exactly 1.
         sim = Simulator(diamond_graph, mini_machine, SimConfig(noise_sigma=0))
-        bounds = _StubBounds(quick, full)
+        bounds = _StubBounds(quick)
         oracle = SimulationOracle(sim, OracleConfig(), bounds=bounds)
         oracle.best_performance = self.INCUMBENT
         return oracle, bounds
@@ -183,34 +184,24 @@ class TestTieredBoundPrune:
     def test_quick_bound_decides_without_full_walk(
         self, diamond_graph, mini_machine, diamond_space
     ):
-        oracle, bounds = self._oracle(diamond_graph, mini_machine, 2.0, 3.0)
+        oracle, bounds = self._oracle(diamond_graph, mini_machine, 2.0)
         mapping = diamond_space.default_mapping()
         assert oracle.would_bound_prune(mapping)
         outcome = oracle.evaluate(mapping)
-        assert bounds.full_calls == 0
+        assert bounds.lower_bound_calls == 0
         # The pruned outcome carries the bound that decided.
         assert outcome.performance == 2.0 * FLOAT_SAFETY
         assert oracle.bound_pruned == 1
 
-    def test_full_bound_walked_when_quick_is_open(
+    def test_open_quick_bound_is_evaluated_without_lower_bound(
         self, diamond_graph, mini_machine, diamond_space
     ):
-        oracle, bounds = self._oracle(diamond_graph, mini_machine, 0.5, 2.0)
-        mapping = diamond_space.default_mapping()
-        assert oracle.would_bound_prune(mapping)
-        assert bounds.full_calls == 1
-        outcome = oracle.evaluate(mapping)
-        assert bounds.full_calls == 1  # priced once per candidate
-        assert outcome.performance == 2.0 * FLOAT_SAFETY
-
-    def test_no_prune_when_full_bound_is_below_incumbent(
-        self, diamond_graph, mini_machine, diamond_space
-    ):
-        oracle, bounds = self._oracle(diamond_graph, mini_machine, 0.5, 0.8)
+        oracle, bounds = self._oracle(diamond_graph, mini_machine, 0.5)
         mapping = diamond_space.default_mapping()
         assert not oracle.would_bound_prune(mapping)
-        assert bounds.full_calls == 1
         outcome = oracle.evaluate(mapping)
+        assert bounds.lower_bound_calls == 0
         assert oracle.bound_pruned == 0
         assert oracle.evaluated == 1
+        assert oracle.simulator.executions == 1
         assert outcome.performance < INFEASIBLE
