@@ -437,7 +437,6 @@ def main(argv=None) -> int:
             f"{entry['candidates_per_second']:.1f} cand/s, "
             f"routed-gap {entry['analysis']['bound_gap_ratio']:.2f}x / "
             f"sym-folds {entry['analysis']['symmetry_folds']}, "
-            f"replay {entry['incremental']['replay_fraction']:.0%} / "
             f"cost-hit {entry['incremental']['cost_hit_rate']:.0%}"
             f"{speedup_note}"
         )

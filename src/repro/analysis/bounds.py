@@ -217,17 +217,14 @@ class StaticBoundAnalyzer:
     ) -> Tuple[Tuple[Tuple[str, int], ...], int]:
         """``((processor uid, points), ...)`` over the processors the
         placer gives points of a ``size``-point launch, and the serial
-        factor: the most points any one of them runs.  Points on a node
-        without a ``pk`` processor are skipped (an invalid option
-        contributes nothing, which is sound)."""
+        factor: the most points any one of them runs."""
         key = (size, distribute, pk)
         cached = self._proc_count_cache.get(key)
         if cached is None:
             counts: Dict[str, int] = {}
             placer = self.engine.costs.placer
             for proc in placer.point_procs(size, distribute, pk):
-                if proc is not None:
-                    counts[proc.uid] = counts.get(proc.uid, 0) + 1
+                counts[proc.uid] = counts.get(proc.uid, 0) + 1
             cached = (tuple(counts.items()), max(counts.values(), default=0))
             self._proc_count_cache[key] = cached
         return cached

@@ -10,11 +10,12 @@ The passes here are deliberately conservative — a coordinate is folded
 only when the cost model provably cannot observe it:
 
 * **Dead distribute** (``AM201``): the distribute bit only enters the
-  execution through ``node_of_point`` (``point * N // size`` vs node 0).
-  On a single-node machine, or for a kind whose launches all have group
-  size 1, both branches yield node 0 for every point, so the bit is
-  unobservable; canonical form sets it to ``True`` (matching the §4.1
-  default mapping).
+  execution through ``Placer.point_procs`` (a blocked split over the
+  nodes hosting the processor kind vs the first of them).  On a
+  single-node machine, or for a kind whose launches all have group
+  size 1, both branches yield the same node for every point, so the
+  bit is unobservable; canonical form sets it to ``True`` (matching the
+  §4.1 default mapping).
 * **Dead memory choice** (``AM202``): a slot whose shard intervals are
   empty for every launch and point (e.g. boundary-clamped ghost strips
   of a size-1 launch) contributes no footprint, no coherence copies,

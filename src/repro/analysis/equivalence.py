@@ -121,10 +121,9 @@ def footprint_bounds(
     contribution is ``<= U(m)``, so capacities at or above ``U`` also
     freeze the AM101 dead-coordinate and AM102 verdicts.
 
-    Options the placer rejects with ``ValueError`` (no processor of
-    the kind on a node, unaddressable memory kind) are unreachable —
-    legalization repairs or validity rejects them before any
-    simulation — and are skipped.
+    Options the placer rejects with ``ValueError`` (an unaddressable
+    memory kind) are unreachable — legalization repairs or validity
+    rejects them before any simulation — and are skipped.
     """
     if space is None:
         from repro.mapping.space import SearchSpace

@@ -114,9 +114,8 @@ class StaticMemoryFeasibility:
         The equivalence prover (:mod:`repro.analysis.equivalence`) unions
         these per-option contributions over *every* reachable option to
         obtain the exact static footprint upper bound; raising
-        ``ValueError`` here means the option is unreachable (a point's
-        node has no processor of ``proc_kind``, or the processor cannot
-        address ``mem_kind``) and contributes nothing.
+        ``ValueError`` here means the option is unreachable (a
+        processor cannot address ``mem_kind``) and contributes nothing.
         """
         key = (kind_name, distribute, proc_kind, slot_index, mem_kind)
         cached = self._contrib_cache.get(key)
@@ -126,13 +125,6 @@ class StaticMemoryFeasibility:
         out: _Contribution = {}
         for launch in self._launches_by_kind.get(kind_name, ()):
             procs = placer.point_procs(launch.size, distribute, proc_kind)
-            if None in procs:
-                node = placer.node_of_point(
-                    launch.size, distribute, procs.index(None)
-                )
-                raise ValueError(
-                    f"no {proc_kind.value} processors on node {node}"
-                )
             root = launch.args[slot_index].root
             assert root is not None
             for point, proc in enumerate(procs):

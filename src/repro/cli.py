@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument(
         "--no-incremental",
         action="store_true",
-        help="disable incremental re-simulation (prefix replay, "
-        "per-launch cost memoisation, spill/noise/validation caches); "
+        help="disable incremental re-simulation (per-launch cost "
+        "memoisation, spill/noise/validation caches); "
         "reports, traces and checkpoints are byte-identical either "
         "way — this is the slow reference path the CI identity gate "
         "compares against",

@@ -43,14 +43,6 @@ class CopyStats:
         self.bytes_moved += nbytes
         self.copy_seconds += duration
 
-    def clone(self) -> "CopyStats":
-        """An independent copy (incremental-simulation snapshots)."""
-        return CopyStats(
-            num_copies=self.num_copies,
-            bytes_moved=self.bytes_moved,
-            copy_seconds=self.copy_seconds,
-        )
-
 
 class CopyEngine:
     """Schedules copies on channel timelines."""
@@ -60,13 +52,10 @@ class CopyEngine:
         routes: Topology,
         channels: TimelinePool,
         recorder: Optional["TraceRecorder"] = None,
-        stats: Optional[CopyStats] = None,
     ) -> None:
         self._hops = routes.hops
         self._reserve = channels.reserve
-        # ``stats`` lets the incremental engine resume accumulation from
-        # a snapshot instead of starting a fresh tally.
-        self.stats = stats if stats is not None else CopyStats()
+        self.stats = CopyStats()
         #: Optional span recorder (observational only; ``None`` = off).
         self.recorder = recorder
 

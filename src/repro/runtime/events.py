@@ -50,15 +50,6 @@ class ResourceTimeline:
             return 0.0
         return min(1.0, self.busy_time / makespan)
 
-    def clone(self) -> "ResourceTimeline":
-        """An independent copy (incremental-simulation snapshots)."""
-        return ResourceTimeline(
-            name=self.name,
-            free_at=self.free_at,
-            busy_time=self.busy_time,
-            reservations=self.reservations,
-        )
-
 
 class TimelinePool:
     """A keyed collection of resource timelines (procs, channels)."""
@@ -94,13 +85,3 @@ class TimelinePool:
             for name, t in self._timelines.items()
             if name.startswith(prefix)
         )
-
-    def clone(self) -> "TimelinePool":
-        """An independent copy of every timeline, preserving creation
-        order (incremental-simulation snapshots)."""
-        pool = TimelinePool()
-        pool._timelines = {
-            name: timeline.clone()
-            for name, timeline in self._timelines.items()
-        }
-        return pool

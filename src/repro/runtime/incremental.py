@@ -1,46 +1,33 @@
-"""Incremental re-simulation for coordinate-wise search chains.
+"""Memoised per-launch costs for the simulator's hot path.
 
-CD/CCD mutate one mapping coordinate per candidate, so consecutive
-simulations share most of their event schedule.  This module exploits
-that in two layered ways:
-
-1. **Per-launch cost memoisation** (:class:`LaunchCostCache`): for a
-   given ``(launch shape, decision)`` pair, the placement set, per-point
-   durations, read shards, and write shards are pure functions of the
-   decision — independent of simulation state.  They are computed once,
-   with the executor's exact float operation order, and every later
-   execution of that launch — or of any launch with the same
-   :attr:`~repro.taskgraph.task.TaskLaunch.shape` — under that decision
-   is a dict hit.
-
-2. **Schedule prefix replay** (:class:`IncrementalEngine`): the engine
-   keeps state snapshots of the previously simulated mapping at every
-   task kind's first launch index.  A new candidate is diffed against
-   the previous one per kind; the *dirty index* is the smallest launch
-   index whose kind's decision changed.  Execution state at that index
-   is bitwise-identical between the two schedules (launches are
-   processed in a fixed topological order, and the state before index
-   ``i`` depends only on the decisions of launches ``< i``), so the
-   engine restores the deepest snapshot at-or-before the dirty index
-   and re-simulates only the suffix.  Snapshots copy the timelines and
-   tallies but share the coherence state copy-on-write
-   (:meth:`~repro.runtime.instances.CoherenceState.clone`).
+A search simulates many mappings of one task graph, and CD/CCD change
+one mapping coordinate per candidate, so most launches of a new
+candidate run under a decision some earlier candidate already used.
+For a given ``(launch shape, decision)`` pair, the placement set,
+per-point durations, read shards and write shards are pure functions of
+the decision, independent of simulation state.
+:class:`LaunchCostCache` computes them once, with the executor's exact
+float operation order, and every later execution of that launch, or of
+any launch with the same :attr:`~repro.taskgraph.task.TaskLaunch.shape`,
+under that decision is a dict hit.  :class:`IncrementalEngine` runs the
+whole launch order from the first launch on every run over those costs;
+no execution state outlives a run.
 
 **Byte-identity contract.**  The engine reproduces
 :meth:`repro.runtime.executor.Executor.run` exactly:
 
-* the replayed suffix performs the *same* coherence, copy, and timeline
-  operations in the *same* order (plan-read → copies → commit-cache per
-  reading slot, reserve per point, group-barrier writes), so every
-  float is produced by the identical operation sequence;
+* it performs the *same* coherence, copy, and timeline operations in
+  the *same* order (plan-read → copies → commit-cache per reading slot,
+  reserve per point, group-barrier writes), so every float is produced
+  by the identical operation sequence;
 * memoised durations are the very floats the executor would compute
   (same ``+=`` accumulation order over slots);
 * dict insertion orders (kind tallies, coherence roots, per-segment
-  cache replicas) are replayed, so serialized reports and checkpoints
-  are byte-identical, not merely numerically equal.
+  cache replicas) are the executor's, so serialized reports and
+  checkpoints are byte-identical, not merely numerically equal.
 
-The correctness oracle is the PR-3/PR-4 determinism contracts: resume
-ledgers, traces, and reports from an incremental session must match a
+The correctness oracle is the determinism contract: resume ledgers,
+traces, and reports from an incremental session must match a
 full-simulation session byte-for-byte (see ``tests/test_incremental.py``
 and the CI ``incremental-identity`` step).
 """
@@ -55,7 +42,7 @@ from repro.machine.model import Machine
 from repro.machine.topology import Topology
 from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
-from repro.runtime.copies import CopyEngine, CopyStats
+from repro.runtime.copies import CopyEngine
 from repro.runtime.events import TimelinePool
 from repro.runtime.executor import ExecutionReport
 from repro.runtime.instances import CoherenceState
@@ -78,24 +65,14 @@ class IncrementalStats:
 
     #: Simulated executions routed through the engine.
     runs: int = 0
-    #: Runs that restored a non-empty prefix from a snapshot.
-    incremental_runs: int = 0
-    #: Launches skipped by restoring a snapshot instead of executing.
+    #: Always 0 (every run executes every launch); perfbench reads it.
     launches_replayed: int = 0
-    #: Launches actually (re-)executed.
+    #: Launches executed.
     launches_executed: int = 0
     #: Per-launch cost lookups served from the memo table.
     cost_hits: int = 0
     #: Per-launch cost lookups that had to compute placements.
     cost_misses: int = 0
-
-    @property
-    def replay_fraction(self) -> float:
-        """Fraction of launch executions avoided via prefix replay."""
-        total = self.launches_replayed + self.launches_executed
-        if total == 0:
-            return 0.0
-        return self.launches_replayed / total
 
     @property
     def cost_hit_rate(self) -> float:
@@ -107,12 +84,9 @@ class IncrementalStats:
     def as_dict(self) -> Dict[str, float]:
         return {
             "runs": self.runs,
-            "incremental_runs": self.incremental_runs,
-            "launches_replayed": self.launches_replayed,
             "launches_executed": self.launches_executed,
             "cost_hits": self.cost_hits,
             "cost_misses": self.cost_misses,
-            "replay_fraction": self.replay_fraction,
             "cost_hit_rate": self.cost_hit_rate,
         }
 
@@ -279,48 +253,8 @@ class LaunchCostCache:
         return tuple(points)
 
 
-class _State:
-    """The mutable execution state at one point of the launch order."""
-
-    __slots__ = (
-        "procs",
-        "channels",
-        "copy_stats",
-        "coherence",
-        "finish",
-        "kind_busy",
-        "kind_points",
-        "kind_finish",
-        "makespan",
-    )
-
-    def __init__(self) -> None:
-        self.procs = TimelinePool()
-        self.channels = TimelinePool()
-        self.copy_stats = CopyStats()
-        self.coherence = CoherenceState()
-        self.finish: Dict[str, float] = {}
-        self.kind_busy: Dict[str, float] = {}
-        self.kind_points: Dict[str, int] = {}
-        self.kind_finish: Dict[str, float] = {}
-        self.makespan = 0.0
-
-    def clone(self) -> "_State":
-        copy = _State.__new__(_State)
-        copy.procs = self.procs.clone()
-        copy.channels = self.channels.clone()
-        copy.copy_stats = self.copy_stats.clone()
-        copy.coherence = self.coherence.clone()
-        copy.finish = dict(self.finish)
-        copy.kind_busy = dict(self.kind_busy)
-        copy.kind_points = dict(self.kind_points)
-        copy.kind_finish = dict(self.kind_finish)
-        copy.makespan = self.makespan
-        return copy
-
-
 class IncrementalEngine:
-    """Executes mappings with prefix replay against the previous run.
+    """Executes mappings over the memoised per-launch costs.
 
     Drop-in equivalent of :meth:`Executor.run` for untraced executions;
     assumes (like the executor) that the mapping is valid and fits.
@@ -343,107 +277,37 @@ class IncrementalEngine:
             tuple(dep.src for dep in graph.predecessors(launch.uid))
             for launch in self._order
         ]
-        # First launch index of each kind: state before that index can
-        # only depend on *other* kinds' decisions... and earlier ones.
-        self._first_index: Dict[str, int] = {}
-        for index, launch in enumerate(self._order):
-            self._first_index.setdefault(launch.kind.name, index)
-        boundaries = sorted(set(self._first_index.values()))
-        boundaries.append(len(self._order))
-        if not boundaries or boundaries[0] != 0:
-            boundaries.insert(0, 0)
-        self._boundaries = boundaries
-        self._boundary_set = set(boundaries)
-        #: Decision keys of the previously executed mapping, per kind.
-        self._base: Optional[Dict[str, tuple]] = None
-        #: Snapshots of execution state keyed by launch index, captured
-        #: *before* the launch at that index runs (plus one at
-        #: ``len(order)`` capturing the final state).
-        self._snapshots: Dict[int, _State] = {}
 
     # ------------------------------------------------------------------
-    def _dirty_index(self, mapping: Mapping) -> int:
-        """Smallest launch index whose kind's decision changed relative
-        to the previous run (``len(order)`` when nothing changed)."""
-        assert self._base is not None
-        dirty = len(self._order)
-        for kind_name, first in self._first_index.items():
-            if first >= dirty:
-                continue
-            if mapping.decision(kind_name).key() != self._base[kind_name]:
-                dirty = first
-        return dirty
-
     def run(self, mapping: Mapping) -> ExecutionReport:
         """One deterministic execution, byte-identical to
         :meth:`Executor.run` on the same (validated, fitting) mapping."""
-        order = self._order
-        self.stats.runs += 1
+        stats = self.stats
+        stats.runs += 1
+        procs = TimelinePool()
+        channels = TimelinePool()
+        copy_engine = CopyEngine(self.topology, channels)
+        coherence = CoherenceState()
+        finish: Dict[str, float] = {}
+        kind_busy: Dict[str, float] = {}
+        kind_points: Dict[str, int] = {}
+        kind_finish: Dict[str, float] = {}
+        makespan = 0.0
 
-        if self._base is None:
-            dirty = 0
-        else:
-            dirty = self._dirty_index(mapping)
-        # Set again when this run completes.  A run that raises (an
-        # unaddressable memory, an unroutable copy) has stored snapshots
-        # of its own prefix; without a base the next run starts from
-        # index 0 and discards them.
-        self._base = None
-
-        # Deepest usable snapshot at-or-before the dirty index.  The
-        # state there is bitwise-identical between the previous and the
-        # new schedule, so restoring it is indistinguishable from
-        # having executed the prefix.
-        start = 0
-        base_snapshot = None
-        for index, snapshot in self._snapshots.items():
-            if start <= index <= dirty:
-                start = index
-                base_snapshot = snapshot
-        if base_snapshot is not None:
-            state = base_snapshot.clone()
-        else:
-            state = _State()
-            start = 0
-        if start > 0:
-            self.stats.incremental_runs += 1
-            self.stats.launches_replayed += start
-
-        # Snapshots past the dirty index describe the *old* schedule.
-        self._snapshots = {
-            index: snapshot
-            for index, snapshot in self._snapshots.items()
-            if index <= dirty
-        }
-
-        copy_engine = CopyEngine(self.topology, state.channels, stats=state.copy_stats)
         execute = copy_engine.execute
         # Every ``max`` of the executor is written as a comparison
         # (``b if b > a else a`` is ``max(a, b)``, ties included).
-        root_of = state.coherence.root
-        reserve = state.procs.reserve
-        finish = state.finish
-        kind_busy = state.kind_busy
-        kind_points = state.kind_points
-        kind_finish = state.kind_finish
-        makespan = state.makespan
-        snapshots = self._snapshots
-        boundary_set = self._boundary_set
-        preds = self._preds
+        root_of = coherence.root
+        reserve = procs.reserve
         costs = self.costs.costs
-        stats = self.stats
 
-        for index in range(start, len(order)):
-            if index in boundary_set and index not in snapshots:
-                state.makespan = makespan
-                snapshots[index] = state.clone()
-            launch = order[index]
+        for launch, launch_preds in zip(self._order, self._preds):
             kind_name = launch.kind.name
             points = costs(launch, mapping.decision(kind_name))
             stats.launches_executed += 1
 
             ready_base = 0.0
-            for src in preds[index]:
+            for src in launch_preds:
                 upstream = finish.get(src, 0.0)
                 if upstream > ready_base:
                     ready_base = upstream
@@ -488,27 +352,14 @@ class IncrementalEngine:
             if launch_finish > makespan:
                 makespan = launch_finish
 
-        state.makespan = makespan
-        end = len(order)
-        if end not in snapshots:
-            # Stored by reference, not cloned: the run is over, so this
-            # state is never mutated again — a future run that restores
-            # from it clones it first, like any other snapshot.
-            snapshots[end] = state
-        self._base = {
-            kind_name: mapping.decision(kind_name).key()
-            for kind_name in self._first_index
-        }
-
         return ExecutionReport(
-            makespan=state.makespan,
-            kind_busy=state.kind_busy,
-            kind_points=state.kind_points,
-            kind_finish=state.kind_finish,
-            copy_stats=state.copy_stats,
-            footprint=state.coherence.footprint(),
+            makespan=makespan,
+            kind_busy=kind_busy,
+            kind_points=kind_points,
+            kind_finish=kind_finish,
+            copy_stats=copy_engine.stats,
+            footprint=coherence.footprint(),
             proc_busy={
-                name: timeline.busy_time
-                for name, timeline in state.procs.items()
+                name: timeline.busy_time for name, timeline in procs.items()
             },
         )

@@ -215,41 +215,19 @@ class SegmentMap:
     def num_segments(self) -> int:
         return len(self._segments)
 
-    def clone(self) -> "SegmentMap":
-        """An independent deep copy preserving segment order and each
-        segment's cache-dict insertion order."""
-        copy = SegmentMap.__new__(SegmentMap)
-        copy._segments = [
-            Segment(s.lo, s.hi, s.auth_mem, s.auth_time, s.caches.copy())
-            for s in self._segments
-        ]
-        copy._los = self._los.copy()
-        return copy
-
 
 class CoherenceState:
-    """Coherence over all root index spaces of a task graph.
+    """Coherence over all root index spaces of a task graph."""
 
-    Snapshots are copy-on-write: :meth:`clone` shares every root's map
-    between the two states, and afterwards the first :meth:`root` access
-    on *either* side clones that root's map, so neither side ever
-    mutates a map the other can see.  The live state keeps mutating
-    after ``snapshot = state.clone()``; the snapshot never changes."""
-
-    __slots__ = ("_roots", "_owned")
+    __slots__ = ("_roots",)
 
     def __init__(self) -> None:
         self._roots: Dict[str, SegmentMap] = {}
-        #: The maps this state may mutate: created or cloned since its
-        #: last snapshot.  Every other map is shared with a snapshot.
-        self._owned: Dict[str, SegmentMap] = {}
 
     def root(self, name: str) -> SegmentMap:
-        seg_map = self._owned.get(name)
+        seg_map = self._roots.get(name)
         if seg_map is None:
-            shared = self._roots.get(name)
-            seg_map = shared.clone() if shared is not None else SegmentMap()
-            self._roots[name] = self._owned[name] = seg_map
+            seg_map = self._roots[name] = SegmentMap()
         return seg_map
 
     def footprint(self) -> Dict[str, int]:
@@ -259,12 +237,3 @@ class CoherenceState:
             for mem, size in seg_map.footprint().items():
                 out[mem] = out.get(mem, 0) + size
         return out
-
-    def clone(self) -> "CoherenceState":
-        """A snapshot preserving root creation order (see the class
-        docstring for the copy-on-write rule)."""
-        copy = CoherenceState.__new__(CoherenceState)
-        copy._roots = self._roots.copy()
-        copy._owned = {}
-        self._owned = {}
-        return copy

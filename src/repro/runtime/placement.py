@@ -4,9 +4,11 @@ AutoMap factors the mapping problem into a search over *kinds* plus
 "runtime logic to select specific processors/memories of the appropriate
 kind" (paper §3.2).  This module is that runtime logic:
 
-* a **distributed** group launch is decomposed blocked across machine
-  nodes (point ``i`` of ``S`` goes to node ``i·N//S``); a non-distributed
-  launch runs entirely on the leader node 0 (paper §3.1);
+* a **distributed** group launch is decomposed blocked across the
+  ``N`` nodes that host the mapped processor kind (point ``i`` of ``S``
+  goes to the ``i·N//S``-th of them); a non-distributed launch runs
+  entirely on the first such node, the leader node 0 when every node
+  hosts the kind (paper §3.1);
 * within its node, a point task is assigned round-robin over the concrete
   processors of the mapped kind;
 * each collection argument is instantiated "in the memory of the desired
@@ -22,7 +24,7 @@ processor kind), :meth:`Placer.point_procs`: the only copy of the point
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import Machine, Memory, Processor
@@ -46,15 +48,16 @@ class Placer:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self._procs_by_kind_node: Dict[Tuple[ProcKind, int], List[Processor]] = {}
+        #: Per processor kind, the kind's processors on each node that
+        #: hosts it, in node order.
+        self._pools: Dict[ProcKind, List[List[Processor]]] = {}
         for kind in machine.proc_kinds():
             for node in range(machine.num_nodes):
                 procs = machine.processors_of_kind(kind, node)
-                self._procs_by_kind_node[(kind, node)] = procs
+                if procs:
+                    self._pools.setdefault(kind, []).append(procs)
         self._closest_cache: Dict[Tuple[str, MemKind], Memory] = {}
-        self._tables: Dict[
-            Tuple[int, bool, ProcKind], Tuple[Optional[Processor], ...]
-        ] = {}
+        self._tables: Dict[Tuple[int, bool, ProcKind], Tuple[Processor, ...]] = {}
 
     def closest(self, proc: Processor, kind: MemKind) -> Memory:
         """The memory of ``kind`` closest to ``proc`` (§3.2); raises
@@ -73,34 +76,27 @@ class Placer:
             self._closest_cache[key] = mem
         return mem
 
-    def node_of_point(self, size: int, distribute: bool, point: int) -> int:
-        """Node index executing point ``point`` of a ``size``-point
-        launch (blocked split; the leader node 0 when not distributed)."""
-        if not distribute:
-            return 0
-        return point * self.machine.num_nodes // size
-
     def point_procs(
         self, size: int, distribute: bool, proc_kind: ProcKind
-    ) -> Tuple[Optional[Processor], ...]:
+    ) -> Tuple[Processor, ...]:
         """Processor executing each point of a ``size``-point launch:
-        the blocked node split, then round-robin over the node's
-        processors of ``proc_kind``.  ``None`` marks a point whose node
-        has no processor of that kind.  Cached per argument triple."""
+        the blocked split over the nodes that host ``proc_kind`` (the
+        first of them when not distributed), then round-robin over the
+        node's processors of that kind.  Cached per argument triple."""
         key = (size, distribute, proc_kind)
         table = self._tables.get(key)
         if table is None:
-            procs: List[Optional[Processor]] = []
-            rr_counters: Dict[int, int] = {}
+            pools = self._pools.get(proc_kind)
+            if pools is None:
+                raise ValueError(f"machine has no {proc_kind.value} processors")
+            hosts = len(pools) if distribute else 1
+            rr_counters = [0] * hosts
+            procs: List[Processor] = []
             for point in range(size):
-                node = self.node_of_point(size, distribute, point)
-                pool = self._procs_by_kind_node.get((proc_kind, node))
-                if not pool:
-                    procs.append(None)
-                    continue
-                index = rr_counters.get(node, 0)
-                rr_counters[node] = index + 1
-                procs.append(pool[index % len(pool)])
+                host = point * hosts // size
+                pool = pools[host]
+                procs.append(pool[rr_counters[host] % len(pool)])
+                rr_counters[host] += 1
             table = tuple(procs)
             self._tables[key] = table
         return table
@@ -120,13 +116,6 @@ class Placer:
             launch.size, decision.distribute, decision.proc_kind
         )
         for point, proc in enumerate(procs):
-            if proc is None:
-                node = self.node_of_point(
-                    launch.size, decision.distribute, point
-                )
-                raise ValueError(
-                    f"no {decision.proc_kind.value} processors on node {node}"
-                )
             mems = tuple(
                 self.closest(proc, mem_kind)
                 for mem_kind in decision.mem_kinds

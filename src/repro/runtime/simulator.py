@@ -44,8 +44,8 @@ class SimConfig:
         experiments (§5.2).
     incremental:
         When True (the default), untraced executions run through the
-        incremental engine (prefix replay + per-launch cost memoisation,
-        see :mod:`repro.runtime.incremental`), spill plans and noise
+        incremental engine (per-launch cost memoisation, see
+        :mod:`repro.runtime.incremental`), spill plans and noise
         factors are memoised, and repeated validations of one mapping
         key are deduplicated.  Results are byte-identical to the full
         path; ``--no-incremental`` turns the whole bundle off, which is

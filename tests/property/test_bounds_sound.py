@@ -4,9 +4,9 @@ This is the property every other use of :mod:`repro.analysis.bounds`
 rests on — bound-based search pruning is result-preserving *only*
 because the lower bound never exceeds what the simulator would have
 measured.  The sweep here covers every bundled application on both
-machine models with randomly drawn valid mappings, always pricing the
-mapping the simulator actually executed (spill demotions applied), and
-tolerates zero violations.
+machine models, and on a cluster with a GPU-less node, with randomly
+drawn valid mappings, always pricing the mapping the simulator actually
+executed (spill demotions applied), and tolerates zero violations.
 
 A second property pins the bound's direction: upgrading the machine
 (faster processors, fatter links, lower latencies and overheads) can
@@ -21,6 +21,7 @@ import pytest
 from repro.analysis.bounds import FLOAT_SAFETY, StaticBoundAnalyzer
 from repro.apps import make_app
 from repro.machine import lassen, shepard
+from repro.machine.builders import HELIX_T4_NODE, heterogeneous_cluster
 from repro.machine.model import Machine
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
@@ -36,7 +37,14 @@ APP_INPUTS = {
     "maestro": {"lf_count": 4, "lf_res": 16},
 }
 
-MACHINES = {"shepard": lambda: shepard(2), "lassen": lambda: lassen(2)}
+MACHINES = {
+    "shepard": lambda: shepard(2),
+    "lassen": lambda: lassen(2),
+    # The second node has no GPU: distributed GPU launches stay on node 0.
+    "gpuless-node": lambda: heterogeneous_cluster(
+        "hetero", [HELIX_T4_NODE, replace(HELIX_T4_NODE, gpus=0)]
+    ),
+}
 
 MAPPINGS_PER_CASE = 8
 

@@ -2,21 +2,15 @@
 
 The reference is the plain formulation of the coherence rules: a sorted
 segment list that splits at both edges of every operation before
-touching it, with full copies for snapshots.  The real map splits in
-place with one bisection per operation and shares segment maps between
-snapshots until a root is accessed.  Segment structure is output (a
-later read issues one copy per segment it spans), so every observable
-is compared: each ``plan_read`` result, every segment's bounds,
-authority and cache order, the root order, and ``footprint()`` with its
-key order.  Several states are kept side by side — each snapshot and the
-state it was taken from — and any of them may be mutated next; each is
-checked against its own reference after every step, so a mutation that
-leaked across a snapshot shows up as a mismatch on the other side.
+touching it.  The real map splits in place with one bisection per
+operation.  Segment structure is output (a later read issues one copy
+per segment it spans), so every observable is compared after every
+step: each ``plan_read`` result, every segment's bounds, authority and
+cache order, the root order, and ``footprint()`` with its key order.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List
 
 from hypothesis import given, settings
@@ -111,8 +105,6 @@ class RefState:
 
 
 def _observe_real(state: CoherenceState):
-    # Reads the maps directly: going through root() would count as an
-    # access and clone a shared map.
     roots = []
     for name, seg_map in state._roots.items():
         assert seg_map._los == [s.lo for s in seg_map._segments]
@@ -143,37 +135,31 @@ def _observe_segments(segs):
 
 
 positions = st.integers(min_value=0, max_value=12)
-states = st.integers(0, 7)
 roots = st.sampled_from(ROOTS)
 mems = st.sampled_from(MEMS)
 times = st.sampled_from(TIMES)
 ops = st.one_of(
-    st.tuples(st.just("write"), states, roots, positions, positions, mems, times),
-    st.tuples(st.just("read"), states, roots, positions, positions, mems),
-    st.tuples(st.just("commit"), states, roots, positions, positions, mems, times),
-    st.tuples(st.just("snapshot"), states),
+    st.tuples(st.just("write"), roots, positions, positions, mems, times),
+    st.tuples(st.just("read"), roots, positions, positions, mems),
+    st.tuples(st.just("commit"), roots, positions, positions, mems, times),
 )
 
 
 @given(st.lists(ops, max_size=40))
 @settings(max_examples=400, deadline=None)
 def test_segment_map_matches_reference(sequence):
-    pairs = [(CoherenceState(), RefState())]
+    real, ref = CoherenceState(), RefState()
     for op in sequence:
-        real, ref = pairs[op[1] % len(pairs)]
-        if op[0] == "snapshot":
-            pairs.append((real.clone(), copy.deepcopy(ref)))
-        elif op[0] == "read":
-            _, _, root, lo, hi, mem = op
+        if op[0] == "read":
+            _, root, lo, hi, mem = op
             ready, copies = real.root(root).plan_read(lo, hi, mem)
             want_ready, want_copies = ref.root(root).plan_read(lo, hi, mem)
             assert ready.hex() == want_ready.hex()
             assert [_copy(*c) for c in copies] == [_copy(*c) for c in want_copies]
             assert [c.nbytes for c in copies] == [c[2] - c[1] for c in want_copies]
         else:
-            kind, _, root, lo, hi, mem, time = op
+            kind, root, lo, hi, mem, time = op
             method = "write" if kind == "write" else "commit_cache"
             getattr(real.root(root), method)(lo, hi, mem, time)
             getattr(ref.root(root), method)(lo, hi, mem, time)
-        for real_state, ref_state in pairs:
-            assert _observe_real(real_state) == _observe_ref(ref_state)
+        assert _observe_real(real) == _observe_ref(ref)

@@ -1,6 +1,6 @@
 """Incremental re-simulation identity properties.
 
-The incremental engine (prefix replay + per-launch cost memoisation,
+The incremental engine (per-launch cost memoisation,
 ``repro.runtime.incremental``) and the caches it switches on in the
 simulator (spill plans, noise factors, validation dedup) promise
 *byte-identical* results to the full path.  These tests enforce that
@@ -85,7 +85,7 @@ def _chain(space: SearchSpace, rng: RngStream, length: int = 12):
             chain.append(space.random_mapping(rng))
         else:
             chain.append(_mutate(space, chain[-1], rng))
-    chain.append(chain[2])  # replay: dirty index == len(order)
+    chain.append(chain[2])  # revisit: a simulator memo-cache hit
     chain.append(chain[-2])
     return chain
 
@@ -153,7 +153,6 @@ def test_mutation_chain_identity(app_name, machine_name):
     assert executed > 0
     stats = sim_inc.incremental_stats
     assert stats.runs > 0
-    assert 0.0 <= stats.replay_fraction <= 1.0
     # The full-path simulator never touches the incremental machinery.
     assert sim_full.incremental_stats.runs == 0
 
@@ -260,12 +259,11 @@ def test_tune_identity(app_name):
 
 
 def test_failed_run_leaves_no_stale_snapshots():
-    """A run that raises part-way has snapshotted its own prefix; the
-    next run must not restore one of those snapshots.  The failing
-    mapping changes ``calc_new_currents`` (which runs first) and puts
-    ``update_voltages`` on memory the GPU cannot address, so it raises
-    after snapshotting at ``update_voltages``' first launch — where the
-    next mapping's dirty index points."""
+    """A run that raises part-way leaves the next run's result
+    unchanged.  The failing mapping changes ``calc_new_currents``
+    (which runs first) and puts ``update_voltages`` on memory the GPU
+    cannot address, so it raises after executing a prefix of the launch
+    order; the next mapping changes only ``update_voltages``."""
     machine = shepard(2)
     app = make_app("circuit", nodes=40, wires=160, iterations=2)
     graph = app.graph(machine)

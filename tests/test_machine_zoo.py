@@ -10,10 +10,13 @@ faster — defeats that fold.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.symmetry import MachineSymmetry
+from repro.apps import make_app
+from repro.core import TuneRequest, TuningEngine
 from repro.machine import (
     MACHINE_ZOO,
     helix,
@@ -27,6 +30,7 @@ from repro.machine.builders import (
     HELIX_T4_NODE,
 )
 from repro.machine.kinds import MemKind, ProcKind
+from repro.runtime import SimConfig
 from repro.util.units import GIB
 
 from tests.conftest import build_diamond_graph
@@ -69,6 +73,31 @@ class TestHelix:
             helix(0)
         with pytest.raises(ValueError):
             heterogeneous_cluster("empty", [])
+
+
+class TestGpulessNode:
+    """A cluster whose second node has no GPU.  Distributed GPU launches
+    are split over the nodes that host a GPU, so the default mapping
+    (distributed, on the GPU) runs and the cluster tunes."""
+
+    @pytest.mark.parametrize("spill", [True, False])
+    def test_tunes_in_both_spill_modes(self, spill):
+        machine = heterogeneous_cluster(
+            "hetero", [HELIX_T4_NODE, replace(HELIX_T4_NODE, gpus=0)]
+        )
+        engine = TuningEngine()
+        prepared = engine.prepare(
+            TuneRequest(
+                make_app("stencil", nx=64, ny=64).graph(machine),
+                machine,
+                algorithm="ccd",
+                sim_config=SimConfig(spill=spill),
+            )
+        )
+        report = engine.run(prepared)
+        assert report.failed_evaluations == 0
+        default = prepared.space.default_mapping()
+        assert report.best_mean <= engine.measure(prepared, default)
 
 
 class TestMirroredAndLopsided:
