@@ -437,7 +437,8 @@ def main(argv=None) -> int:
             f"{entry['candidates_per_second']:.1f} cand/s, "
             f"routed-gap {entry['analysis']['bound_gap_ratio']:.2f}x / "
             f"sym-folds {entry['analysis']['symmetry_folds']}, "
-            f"cost-hit {entry['incremental']['cost_hit_rate']:.0%}"
+            f"cost-hit {entry['incremental']['cost_hit_rate']:.0%} / "
+            f"program-hit {entry['incremental']['program_hit_rate']:.0%}"
             f"{speedup_note}"
         )
 

@@ -396,9 +396,10 @@ class StaticBoundAnalyzer:
         Walks the launches in executor order over the engine's launch
         costs, running the coherence layer's ``plan_read``,
         ``commit_cache`` and group-barrier ``write`` in the executor's
-        (launch, point, slot) order with every time at zero.  No
-        coherence operation decides by time, so the walk issues exactly
-        the executor's copies without any timeline.
+        (launch, point, slot) order with every time at zero, ignoring
+        the resident stamps ``plan_read`` returns.  No coherence
+        operation decides by time, so the walk issues exactly the
+        executor's copies without any timeline.
         """
         root_of = CoherenceState().root
         costs = self.engine.costs.costs
@@ -407,22 +408,15 @@ class StaticBoundAnalyzer:
         tally: Dict[Tuple[str, str, str, str], int] = {}
         for launch in self._order:
             kind_name = launch.kind.name
-            points = costs(launch, mapping.decision(kind_name))
-            for point in points:
-                for root, read in point.slots:
-                    if read is None:
-                        continue
-                    lo, hi, dst = read
-                    seg_map = root_of(root)
-                    for src, p_lo, p_hi, _time in seg_map.plan_read(
-                        lo, hi, dst
-                    )[1]:
-                        entry = (src, dst, root, kind_name)
-                        tally[entry] = tally.get(entry, 0) + p_hi - p_lo
-                        seg_map.commit_cache(p_lo, p_hi, dst, 0.0)
-            for point in points:
-                for root, lo, hi, mem in point.writes:
-                    root_of(root).write(lo, hi, mem, 0.0)
+            cost = costs(launch, mapping.decision(kind_name))
+            for root, lo, hi, dst in cost.reads:
+                seg_map = root_of(root)
+                for src, p_lo, p_hi, _time in seg_map.plan_read(lo, hi, dst)[1]:
+                    entry = (src, dst, root, kind_name)
+                    tally[entry] = tally.get(entry, 0) + p_hi - p_lo
+                    seg_map.commit_cache(p_lo, p_hi, dst, 0.0)
+            for root, lo, hi, mem in cost.writes:
+                root_of(root).write(lo, hi, mem, 0.0)
 
         # Per-memory and per-pair totals, summed from the tally (integer
         # sums, so the order of accumulation cannot matter).

@@ -131,9 +131,11 @@ class Executor:
                     seg_map = coherence.root(root)
 
                     if slot.privilege.reads and hi > lo:
-                        local_ready, copies = seg_map.plan_read(
-                            lo, hi, mem.uid
-                        )
+                        stamps, copies = seg_map.plan_read(lo, hi, mem.uid)
+                        local_ready = 0.0
+                        for stamp in stamps:
+                            if stamp > local_ready:
+                                local_ready = stamp
                         data_ready = max(data_ready, local_ready)
                         for need in copies:
                             done = copy_engine.execute(

@@ -14,11 +14,16 @@ exchanges included, and repeated readers of a cached instance cost
 nothing — the dedup the paper relies on when co-locating shared
 collections.
 
-The same map serves the executor, the incremental engine and the bound
-analyzer's traffic walk (:mod:`repro.analysis.bounds`), so the traffic
-evidence's copy set is the executor's by construction: no operation
-here decides by time, so a walk that keeps every time at zero issues
-the same copies.
+No operation here decides by time.  Times are opaque stamps the map
+stores and hands back: ``plan_read`` returns the stamps of the parts
+already resident and each copy's source stamp, and the caller folds
+them.  So one map serves three walks that issue the same copies: the
+executor's, with float times; the incremental engine's compile of a
+root program (:mod:`repro.runtime.incremental`), with symbolic stamps
+naming the writing launch or the completing copy; and the bound
+analyzer's traffic walk (:mod:`repro.analysis.bounds`), with every time
+at zero, so the traffic evidence's copy set is the executor's by
+construction.
 """
 
 from __future__ import annotations
@@ -133,23 +138,24 @@ class SegmentMap:
 
     def plan_read(
         self, lo: int, hi: int, dst_mem: str
-    ) -> Tuple[float, List[CopyNeed]]:
+    ) -> Tuple[List[float], List[CopyNeed]]:
         """What it takes to make ``[lo, hi)`` valid in ``dst_mem``.
 
-        Returns ``(ready_time, copies)``: ``ready_time`` is the latest
-        availability among parts already resident in ``dst_mem``; ``copies``
-        lists the byte ranges that must be fetched (from their
-        authoritative memories).  Ranges never written anywhere (virgin
-        input data) are materialised in place for free — the simulator
-        measures warmed steady-state iterations, like the paper's
-        per-iteration timings.
+        Returns ``(stamps, copies)``: ``stamps`` holds the time of each
+        part already resident in ``dst_mem`` (its authoritative or cached
+        copy's), in byte order, and the caller folds them into a ready
+        time; ``copies`` lists the byte ranges that must be fetched (from
+        their authoritative memories).  Ranges never written anywhere
+        (virgin input data) are materialised in place for free, at time
+        ``0.0`` and without a stamp — the simulator measures warmed
+        steady-state iterations, like the paper's per-iteration timings.
         """
         if hi <= lo:
-            return 0.0, []
+            return [], []
         i = self._start(lo)
         segs = self._segments
         los = self._los
-        ready = 0.0
+        stamps: List[float] = []
         copies: List[CopyNeed] = []
         covered = lo
         n = len(segs)
@@ -174,13 +180,13 @@ class SegmentMap:
                 local = seg.caches.get(dst_mem)
             if local is None:
                 copies.append(CopyNeed(seg.auth_mem, seg_lo, covered, seg.auth_time))
-            elif local > ready:
-                ready = local
+            else:
+                stamps.append(local)
             i += 1
         if covered < hi:
             segs.insert(i, Segment(covered, hi, dst_mem, 0.0, {}))
             los.insert(i, covered)
-        return ready, copies
+        return stamps, copies
 
     def commit_cache(self, lo: int, hi: int, mem: str, time: float) -> None:
         """Record that ``[lo, hi)`` now has a valid replica in ``mem``

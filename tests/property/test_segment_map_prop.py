@@ -7,6 +7,10 @@ operation.  Segment structure is output (a later read issues one copy
 per segment it spans), so every observable is compared after every
 step: each ``plan_read`` result, every segment's bounds, authority and
 cache order, the root order, and ``footprint()`` with its key order.
+``plan_read`` returns the times of the parts already resident, in byte
+order; the ready time is their maximum folded the executor's way (from
+``0.0``, replacing only on a strictly later time, so a ``-0.0`` tie
+keeps its sign).
 """
 
 from __future__ import annotations
@@ -52,10 +56,11 @@ class RefMap:
 
     def plan_read(self, lo, hi, dst):
         if hi <= lo:
-            return 0.0, []
+            return 0.0, [], []
         self._split(lo)
         self._split(hi)
         ready = 0.0
+        resident = []
         copies = []
         covered = lo
         for seg in self._inside(lo, hi):
@@ -64,13 +69,15 @@ class RefMap:
             covered = seg[1]
             if seg[2] == dst:
                 ready = max(ready, seg[3])
+                resident.append(seg[3])
             elif dst in seg[4]:
                 ready = max(ready, seg[4][dst])
+                resident.append(seg[4][dst])
             else:
                 copies.append((seg[2], seg[0], seg[1], seg[3]))
         if covered < hi:
             self.write(covered, hi, dst, 0.0)
-        return ready, copies
+        return ready, resident, copies
 
     def commit_cache(self, lo, hi, mem, time) -> None:
         if hi <= lo:
@@ -152,9 +159,16 @@ def test_segment_map_matches_reference(sequence):
     for op in sequence:
         if op[0] == "read":
             _, root, lo, hi, mem = op
-            ready, copies = real.root(root).plan_read(lo, hi, mem)
-            want_ready, want_copies = ref.root(root).plan_read(lo, hi, mem)
+            stamps, copies = real.root(root).plan_read(lo, hi, mem)
+            want_ready, resident, want_copies = ref.root(root).plan_read(
+                lo, hi, mem
+            )
+            ready = 0.0
+            for stamp in stamps:
+                if stamp > ready:
+                    ready = stamp
             assert ready.hex() == want_ready.hex()
+            assert [t.hex() for t in stamps] == [t.hex() for t in resident]
             assert [_copy(*c) for c in copies] == [_copy(*c) for c in want_copies]
             assert [c.nbytes for c in copies] == [c[2] - c[1] for c in want_copies]
         else:

@@ -1,13 +1,13 @@
 """Incremental re-simulation identity properties.
 
-The incremental engine (per-launch cost memoisation,
-``repro.runtime.incremental``) and the caches it switches on in the
-simulator (spill plans, noise factors, validation dedup) promise
-*byte-identical* results to the full path.  These tests enforce that
-promise the way the search exercises it: random single-coordinate
-mutation chains (the coordinate-descent access pattern), occasional
-random jumps, revisits of earlier mappings, noise draws, OOM paths, and
-whole tuning runs.
+The incremental engine (per-launch cost memoisation and per-root
+compiled coherence programs, ``repro.runtime.incremental``) and the
+caches it switches on in the simulator (spill plans, noise factors,
+validation dedup) promise *byte-identical* results to the full path.
+These tests enforce that promise the way the search exercises it:
+random single-coordinate mutation chains (the coordinate-descent access
+pattern), occasional random jumps, revisits of earlier mappings, noise
+draws, OOM paths, unroutable copies, and whole tuning runs.
 """
 
 from __future__ import annotations
@@ -17,15 +17,23 @@ import pytest
 from repro.apps import make_app
 from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import lassen, shepard
-from repro.machine.kinds import ADDRESSABLE, MemKind
-from repro.mapping import SearchSpace
+from repro.machine.kinds import ADDRESSABLE, MemKind, ProcKind
+from repro.mapping import Mapping, MappingDecision, SearchSpace
 from repro.obs.trace import diff_traces
 from repro.runtime import SimConfig, Simulator
 from repro.runtime.executor import Executor
 from repro.runtime.incremental import IncrementalEngine
 from repro.runtime.memory import MemoryPlanner, OOMError
 from repro.runtime.noise import NoiseModel
+from repro.taskgraph import (
+    ArgSlot,
+    GraphBuilder,
+    Privilege,
+    ShardPattern,
+    TaskGraph,
+)
 from repro.util.rng import RngStream
+from tests.analysis.test_routing import island_machine
 from tests.conftest import build_mixed_shape_graph
 
 #: Small inputs: the point is coverage of the cache machinery, not load.
@@ -262,7 +270,7 @@ def test_failed_run_leaves_no_stale_snapshots():
     """A run that raises part-way leaves the next run's result
     unchanged.  The failing mapping changes ``calc_new_currents``
     (which runs first) and puts ``update_voltages`` on memory the GPU
-    cannot address, so it raises after executing a prefix of the launch
+    cannot address, so it raises after costing a prefix of the launch
     order; the next mapping changes only ``update_voltages``."""
     machine = shepard(2)
     app = make_app("circuit", nodes=40, wires=160, iterations=2)
@@ -280,3 +288,141 @@ def test_failed_run_leaves_no_stale_snapshots():
     assert _report_tuple(engine.run(moved)) == _report_tuple(
         Executor(graph, machine).run(moved)
     )
+
+
+def _kind_chain(space: SearchSpace, rng: RngStream, length: int = 10):
+    """Default start, then moves that each change one kind's slot memory
+    or distribute bit, as ``(mapping, move)`` pairs."""
+    chain = [(space.default_mapping(), "start")]
+    for _ in range(length):
+        mapping = chain[-1][0]
+        kind = rng.choice(sorted(space.kind_names()))
+        decision = mapping.decision(kind)
+        if rng.integers(0, 2):
+            options = list(space.searched_distribute_options(kind))
+            chain.append((mapping.with_distribute(kind, rng.choice(options)), "dist"))
+            continue
+        slot_index = rng.integers(0, decision.num_slots)
+        options = list(
+            space.searched_mem_options(kind, decision.proc_kind, slot_index)
+        )
+        if options:
+            mapping = mapping.with_mem(kind, slot_index, rng.choice(options))
+        chain.append((mapping, "mem"))
+    return chain
+
+
+@pytest.mark.parametrize("app_name", ["circuit", "stencil", MIXED])
+@pytest.mark.parametrize("machine_name", sorted(MACHINES))
+def test_root_programs_shared_across_mappings(app_name, machine_name):
+    """Mappings that share roots reuse those roots' compiled programs,
+    and every run still matches the executor bit for bit.  A memory move
+    changes one slot's root, so every other root is a program hit."""
+    machine = MACHINES[machine_name](2)
+    graph = _graph(app_name, machine)
+    space = SearchSpace(graph, machine)
+    engine = IncrementalEngine(graph, machine)
+    executor = Executor(graph, machine)
+    stats = engine.stats
+    roots = len(engine.costs.root_index)
+    assert roots > 1
+    chain = _kind_chain(space, RngStream(24).fork(app_name, machine_name))
+    moved = False
+    for mapping, move in chain:
+        hits = stats.program_hits
+        report = _report_tuple(engine.run(mapping))
+        assert report == _report_tuple(executor.run(mapping))
+        if move == "mem":
+            assert stats.program_hits - hits >= roots - 1
+        moved = moved or mapping.key() != chain[0][0].key()
+    assert moved
+    assert stats.program_hits > 0
+    # The same mapping again: every root is a hit, the report unchanged.
+    hits, misses = stats.program_hits, stats.program_misses
+    assert _report_tuple(engine.run(chain[-1][0])) == report
+    assert stats.program_hits == hits + roots
+    assert stats.program_misses == misses
+    assert stats.runs == len(chain) + 1
+
+
+def _island_graph():
+    """``write_x`` and ``write_y`` each write a collection on one CPU of
+    :func:`island_machine`, whose second system memory has no channel;
+    ``read_y`` and then ``read_x`` read all of it on both CPUs."""
+    b = GraphBuilder("island")
+    cpu = [ProcKind.CPU]
+    data = {name: b.collection(name, nbytes=1 << 20) for name in ("x", "y")}
+    write = [ArgSlot("dst", Privilege.WRITE)]
+    read = [ArgSlot("src", Privilege.READ, ShardPattern.REPLICATED)]
+    for kind, name, slots, size in (
+        ("write_x", "x", write, 1),
+        ("write_y", "y", write, 1),
+        ("read_y", "y", read, 2),
+        ("read_x", "x", read, 2),
+    ):
+        kind = b.task_kind(kind, slots, cpu)
+        b.launch(kind, [data[name]], size=size, flops=1e6)
+    return b.build()
+
+
+def _island_mapping(write_x, write_y, read_y, read_x):
+    mems = {
+        "write_x": write_x,
+        "write_y": write_y,
+        "read_y": read_y,
+        "read_x": read_x,
+    }
+    return Mapping(
+        {
+            name: MappingDecision(False, ProcKind.CPU, (mem,))
+            for name, mem in mems.items()
+        }
+    )
+
+
+def test_unroutable_copy_raises_the_executors_error():
+    """Routes are looked up while compiling a root, yet a run raises the
+    copy engine's error where the executor meets it: at the first
+    unroutable copy in time order, here in the second root to compile.
+    The failing mapping raises again from its memoised programs, and
+    routable ones still match the executor."""
+    machine = island_machine()
+    graph = _island_graph()
+    engine = IncrementalEngine(graph, machine)
+    executor = Executor(graph, machine)
+    sysmem, zc = MemKind.SYSTEM, MemKind.ZERO_COPY
+    # The reads' second points run on cpu1, whose system memory is sysB:
+    # read_y's copy from sysA fails before read_x's copy from zc.
+    failing = _island_mapping(zc, sysmem, sysmem, sysmem)
+    with pytest.raises(ValueError) as from_executor:
+        executor.run(failing)
+    assert str(from_executor.value) == "no channel path from sysA to sysB"
+    for _ in range(2):
+        with pytest.raises(ValueError) as from_engine:
+            engine.run(failing)
+        assert str(from_engine.value) == str(from_executor.value)
+    for routable in (
+        _island_mapping(sysmem, zc, zc, zc),
+        _island_mapping(zc, sysmem, zc, zc),
+    ):
+        report = engine.run(routable)
+        assert report.copy_stats.num_copies == 1
+        assert _report_tuple(report) == _report_tuple(executor.run(routable))
+
+
+@pytest.mark.parametrize("app_name", ["circuit", "stencil", MIXED])
+def test_reads_wait_on_writers_outside_the_dependences(app_name):
+    """A builder's graph makes every reader depend on the last writer of
+    what it reads, so the engine drops those waits.  With every other
+    dependence edge removed, reads and copies must wait on writers'
+    finishes through their compiled stamps instead."""
+    machine = shepard(2)
+    built = _graph(app_name, machine)
+    graph = TaskGraph(built.name, built.launches, built.dependences[::2])
+    space = SearchSpace(graph, machine)
+    engine = IncrementalEngine(graph, machine)
+    executor = Executor(graph, machine)
+    for mapping, _move in _kind_chain(space, RngStream(31).fork(app_name)):
+        assert _report_tuple(engine.run(mapping)) == _report_tuple(
+            executor.run(mapping)
+        )
