@@ -239,10 +239,8 @@ def run_app(app_name: str, runs: list, reps: int) -> dict:
             "simulations": report.simulations,
         },
         "analysis": {
-            # Routed-vs-incident tightening on the winner (>= 1.0) and
-            # machine-symmetry orbit folds (0 on asymmetric machines,
+            # Machine-symmetry orbit folds (0 on asymmetric machines,
             # pinned: shepard's CPU/GPU sides are never interchangeable).
-            "bound_gap_ratio": report.bound_gap_ratio,
             "symmetry_folds": report.symmetry_folds,
         },
         "breakdown": {
@@ -435,7 +433,6 @@ def main(argv=None) -> int:
             f"{entry['oracle_calls']['evaluated']} evaluated / "
             f"{entry['oracle_calls']['bound_pruned']} bound-pruned, "
             f"{entry['candidates_per_second']:.1f} cand/s, "
-            f"routed-gap {entry['analysis']['bound_gap_ratio']:.2f}x / "
             f"sym-folds {entry['analysis']['symmetry_folds']}, "
             f"cost-hit {entry['incremental']['cost_hit_rate']:.0%} / "
             f"program-hit {entry['incremental']['program_hit_rate']:.0%}"

@@ -21,10 +21,8 @@ in microseconds.  This package is that pre-simulation pruning layer:
 * :mod:`~repro.analysis.bounds` — sound lower bounds on the simulated
   makespan (critical path, processor load, and the incremental
   engine's own schedule), powering bound-based search pruning and the
-  AM4xx diagnostics, with the mandatory traffic as their evidence;
-* :mod:`~repro.analysis.routing` — the executor's channel-path routes
-  exposed to the analyzer, powering the per-channel congestion
-  evidence and the AM501/AM503 diagnostics;
+  AM4xx diagnostics, with the mandatory traffic read off the engine's
+  compiled copies as their evidence (and AM501's busiest channel);
 * :mod:`~repro.analysis.symmetry` — verified machine-kind automorphisms
   (interchangeable processor/memory kinds), folded by the
   canonicalizer and reported as AM502;
@@ -71,7 +69,6 @@ __all__ = [
     "analyze",
     "StaticBoundAnalyzer",
     "BoundBreakdown",
-    "RoutingModel",
     "MachineSymmetry",
     "KindRelabeling",
     "Workload",
@@ -91,7 +88,6 @@ _LAZY = {
     "analyze": ("repro.analysis.engine", "analyze"),
     "StaticBoundAnalyzer": ("repro.analysis.bounds", "StaticBoundAnalyzer"),
     "BoundBreakdown": ("repro.analysis.bounds", "BoundBreakdown"),
-    "RoutingModel": ("repro.analysis.routing", "RoutingModel"),
     "MachineSymmetry": ("repro.analysis.symmetry", "MachineSymmetry"),
     "KindRelabeling": ("repro.analysis.symmetry", "KindRelabeling"),
     "Workload": ("repro.analysis.equivalence", "Workload"),

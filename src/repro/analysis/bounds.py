@@ -20,8 +20,8 @@ Both count each processor's points from the runtime placer's own table
 (:meth:`repro.runtime.placement.Placer.point_procs`, read through the
 engine), so they see exactly the executor's assignment.
 
-For analysis only, :meth:`StaticBoundAnalyzer.lower_bound` and
-:meth:`StaticBoundAnalyzer.breakdown` add a third term:
+For analysis only, :meth:`StaticBoundAnalyzer.breakdown` (and
+:meth:`StaticBoundAnalyzer.lower_bound`, its total) adds a third term:
 
 * **schedule** — the makespan of one
   :class:`~repro.runtime.incremental.IncrementalEngine` run on the
@@ -39,21 +39,16 @@ incumbent provably cannot win, so the oracle can skip its evaluation
 without changing any search decision.
 
 :meth:`StaticBoundAnalyzer.breakdown` also reports the mapping's
-mandatory traffic as evidence for the AM402/AM501 diagnostics, and
-:meth:`StaticBoundAnalyzer.gap_ratio` reads the same traffic for the
-report's routed-vs-incident gap ratio.  The traffic comes from a
-timeline-free walk of the coherence layer (the runtime's own
-:class:`~repro.runtime.instances.SegmentMap`) over the engine's
-per-launch costs, in executor order: ``plan_read`` picks each copy's
-source by authority alone, never by time, so the walk finds exactly
-the executor's copies.  It is priced two ways and combined with
-``max``: *routed* per-channel congestion (each pair's bytes cross every
-channel of the executor's copy path, see :mod:`repro.analysis.routing`,
-and the busiest channel's bytes are divided by its DMA bandwidth) and
-the *incident* aggregate (each memory's traffic divided by the sum of
-its incident channel bandwidths).  The result never exceeds
-``schedule`` — each channel's simulated busy time adds hop latency on
-top of the bytes it carries — so it is not a term of ``LB``.
+mandatory traffic as evidence for the AM402/AM501 diagnostics.  The
+traffic has one source, the engine's memoised root programs
+(:meth:`~repro.runtime.incremental.IncrementalEngine.copies`), which
+hold exactly the executor's copies and the channels each crosses; the
+schedule term has just compiled them.  Each channel's bytes are divided
+by its DMA bandwidth, and the busiest channel's time is the
+``communication`` evidence.  It never exceeds ``schedule`` — the
+executor serialises each channel's copies, and their simulated busy
+time adds hop latency on top of the bytes they carry — so it is not a
+term of ``LB``.
 
 A partial mapping (some kinds undecided) falls back to the critical
 path alone, pricing undecided kinds at their cheapest option.
@@ -65,13 +60,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Span
-from repro.analysis.routing import RoutingModel
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import Machine
+from repro.machine.topology import DMA_EFFICIENCY, channel_key
 from repro.mapping.mapping import Mapping
-from repro.runtime.copies import DMA_EFFICIENCY
 from repro.runtime.incremental import IncrementalEngine
-from repro.runtime.instances import CoherenceState
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.task import TaskLaunch
 
@@ -84,9 +77,9 @@ __all__ = [
 
 #: Relative deflation of the schedule and traffic components.  It keeps
 #: the schedule (the engine's makespan) strictly below the simulated
-#: makespan, and it covers the rounding of the traffic sums, which
-#: aggregate across resources instead of replaying one executor float
-#: chain; 1e-9 dwarfs any accumulated float rounding.
+#: makespan, and it covers the rounding of the traffic quotients, which
+#: divide a channel's bytes once instead of replaying the executor's
+#: per-hop float chain; 1e-9 dwarfs any accumulated float rounding.
 FLOAT_SAFETY = 1.0 - 1e-9
 
 #: Share of all routed bytes a single channel must carry before AM501
@@ -102,26 +95,21 @@ class BoundBreakdown:
     ``schedule`` is the engine's makespan for the mapping, deflated once
     by :data:`FLOAT_SAFETY`; zero for partial mappings.
 
-    ``communication`` is the max of the routed per-channel congestion
-    and the incident-bandwidth aggregate of the mapping's mandatory
-    traffic.  It never exceeds ``schedule``, so it is evidence, not a
-    term of :attr:`total`.  ``communication_incident`` keeps the
-    incident aggregate alone so the routed-vs-incident gap is
-    observable.  ``comm_memory``/``comm_edge`` name the heaviest memory
-    boundary and its top contributing (consumer kind, collection root)
-    edge — the evidence AM402 reports for communication-dominated
-    placements — and ``comm_channel``/``comm_channel_share`` name the
-    most congested channel and its share of all routed bytes — the
-    evidence AM501 reports for bottleneck interconnects.
+    ``communication`` is the busiest channel's mandatory busy time: the
+    bytes the mapping's copies put on it over its DMA bandwidth.  It
+    never exceeds ``schedule``, so it is evidence, not a term of
+    :attr:`total`.  ``comm_channel``/``comm_channel_share`` name that
+    channel and its share of all copied bytes — the evidence AM501
+    reports for bottleneck interconnects — and ``comm_edge`` names the
+    (consumer kind, collection root) edge that puts the most bytes on
+    it — the evidence AM402 adds for communication-dominated placements.
     """
 
     critical_path: float
     load: float
     communication: float
-    comm_memory: Optional[str] = None
     comm_edge: Optional[Tuple[str, str]] = None  # (consumer kind, root)
     comm_edge_bytes: int = 0
-    communication_incident: float = 0.0
     comm_channel: Optional[str] = None
     comm_channel_share: float = 0.0
     schedule: float = 0.0
@@ -137,12 +125,13 @@ class StaticBoundAnalyzer:
     mappings of one ``(graph, machine)`` pair.
 
     ``engine`` is the incremental engine whose placer and launch-cost
-    table the bounds and the traffic walk read.  A tune passes its
-    simulator's own (:attr:`~repro.runtime.simulator.Simulator.engine`),
-    so the analyses and the simulations share one cost table.  Without
-    one, the analyzer builds a private engine.  Only :meth:`lower_bound`
-    and :meth:`breakdown` run it (their schedule term, one simulation);
-    a tune calls neither.
+    table the bounds read, and whose root programs hold the traffic.  A
+    tune passes its simulator's own
+    (:attr:`~repro.runtime.simulator.Simulator.engine`), so the analyses
+    and the simulations share one cost table.  Without one, the
+    analyzer builds a private engine.  Only :meth:`breakdown` (and
+    :meth:`lower_bound`, its total) runs it (the schedule term, one
+    simulation); a tune calls neither.
     """
 
     def __init__(
@@ -186,28 +175,19 @@ class StaticBoundAnalyzer:
             if lat is None or link.latency < lat:
                 self._min_latency[shape] = link.latency
 
-        #: DMA bandwidth aggregate over each memory's incident channels.
-        self._channel_bw: Dict[str, float] = {}
-        for mem in machine.memories:
-            total = sum(c.bandwidth for c in machine.channels_of(mem.uid))
-            if total > 0:
-                self._channel_bw[mem.uid] = DMA_EFFICIENCY * total
-
-        #: The executor's channel-path routes (the machine's shared table).
-        self._routing = RoutingModel(machine)
+        #: Channel timeline key -> the DMA bandwidth a copy sustains on it.
+        self._dma_bandwidth: Dict[str, float] = {
+            channel_key(chan.mem_a, chan.mem_b): DMA_EFFICIENCY * chan.bandwidth
+            for chan in machine.channels
+        }
 
         # Caches (all keyed on deterministic values).
         self._proc_count_cache: Dict[Tuple, Tuple] = {}
         self._duration_cache: Dict[Tuple, float] = {}
         self._best_duration_cache: Dict[int, Tuple[float, int]] = {}
         self._breakdown_cache: Dict[Tuple, BoundBreakdown] = {}
-        self._bound_cache: Dict[Tuple, float] = {}
         #: mapping key -> (partial, quick bound).
         self._quick_cache: Dict[Tuple, Tuple[bool, float]] = {}
-
-        #: How many lower bounds were requested / served from the cache.
-        self.checks = 0
-        self.cache_hits = 0
 
     # ------------------------------------------------------------------
     # Structural helpers
@@ -380,121 +360,44 @@ class StaticBoundAnalyzer:
         load = max(busy.values(), default=0.0)
         return cp, load
 
-    def _communication(self, mapping: Mapping) -> Tuple[
-        float,
-        float,
-        Optional[str],
-        Optional[Tuple[str, str]],
-        int,
-        Optional[str],
-        float,
+    def _traffic(self, mapping: Mapping) -> Tuple[
+        float, Optional[Tuple[str, str]], int, Optional[str], float
     ]:
         """The mapping's mandatory traffic, priced as evidence; returns
-        ``(communication, incident, memory, edge, edge_bytes, channel,
-        channel_share)``.
+        ``(communication, edge, edge_bytes, channel, channel_share)``.
 
-        Walks the launches in executor order over the engine's launch
-        costs, running the coherence layer's ``plan_read``,
-        ``commit_cache`` and group-barrier ``write`` in the executor's
-        (launch, point, slot) order with every time at zero, ignoring
-        the resident stamps ``plan_read`` returns.  No coherence
-        operation decides by time, so the walk issues exactly the
-        executor's copies without any timeline.
+        Tallies the bytes of every copy in the engine's root programs
+        on each channel the copy crosses.  The executor serialises each
+        channel's copies on one timeline, so the busiest channel's bytes
+        over its DMA bandwidth are mandatory busy time.
         """
-        root_of = CoherenceState().root
-        costs = self.engine.costs.costs
-        #: (src mem uid, dst mem uid, root, consumer kind) -> bytes; the
-        #: per-memory, per-pair and per-edge totals are summed from it.
-        tally: Dict[Tuple[str, str, str, str], int] = {}
-        for launch in self._order:
-            kind_name = launch.kind.name
-            cost = costs(launch, mapping.decision(kind_name))
-            for root, lo, hi, dst in cost.reads:
-                seg_map = root_of(root)
-                for src, p_lo, p_hi, _time in seg_map.plan_read(lo, hi, dst)[1]:
-                    entry = (src, dst, root, kind_name)
-                    tally[entry] = tally.get(entry, 0) + p_hi - p_lo
-                    seg_map.commit_cache(p_lo, p_hi, dst, 0.0)
-            for root, lo, hi, mem in cost.writes:
-                root_of(root).write(lo, hi, mem, 0.0)
+        #: (channel, root, consumer kind) -> bytes, and channel -> bytes.
+        tally: Dict[Tuple[str, str, str], int] = {}
+        chan_bytes: Dict[str, int] = {}
+        total = 0
+        for kind_name, root, channels, nbytes in self.engine.copies(mapping):
+            total += nbytes
+            for chan in channels:
+                chan_bytes[chan] = chan_bytes.get(chan, 0) + nbytes
+                entry = (chan, root, kind_name)
+                tally[entry] = tally.get(entry, 0) + nbytes
 
-        # Per-memory and per-pair totals, summed from the tally (integer
-        # sums, so the order of accumulation cannot matter).
-        traffic: Dict[str, int] = {}
-        pair_bytes: Dict[Tuple[str, str], int] = {}
-        for (src, dst, _root, _kind), nbytes in tally.items():
-            traffic[dst] = traffic.get(dst, 0) + nbytes
-            traffic[src] = traffic.get(src, 0) + nbytes
-            pair = (src, dst)
-            pair_bytes[pair] = pair_bytes.get(pair, 0) + nbytes
-
-        incident = 0.0
-        worst_mem: Optional[str] = None
-        for mem_uid in sorted(traffic):
-            denom = self._channel_bw.get(mem_uid)
-            if denom is None:
-                continue  # no channels: the executor cannot copy here
-            value = traffic[mem_uid] / denom * FLOAT_SAFETY
-            if value > incident:
-                incident = value
-                worst_mem = mem_uid
+        communication = 0.0
+        channel: Optional[str] = None
+        for chan in sorted(chan_bytes):
+            value = chan_bytes[chan] / self._dma_bandwidth[chan] * FLOAT_SAFETY
+            if value > communication:
+                communication = value
+                channel = chan
+        if channel is None:
+            return 0.0, None, 0, None, 0.0
         edge: Optional[Tuple[str, str]] = None
         top_bytes = 0
-        if worst_mem is not None:
-            # Bytes the worst memory sends or receives per (root, kind).
-            edge_bytes: Dict[Tuple[str, str], int] = {}
-            for (src, dst, root, kind), nbytes in tally.items():
-                for mem in (dst, src):
-                    if mem == worst_mem:
-                        key = (root, kind)
-                        edge_bytes[key] = edge_bytes.get(key, 0) + nbytes
-            for (root, kind), nbytes in sorted(edge_bytes.items()):
-                if nbytes > top_bytes:
-                    top_bytes = nbytes
-                    edge = (kind, root)
-
-        # Routed per-channel congestion: every transfer crosses each
-        # channel of its copy path, and the executor serialises all
-        # traffic per channel, so the busiest channel's mandatory busy
-        # time is a makespan lower bound.  Unroutable pairs are skipped
-        # (a sound under-count; AM503 reports them statically).
-        chan_bytes: Dict[str, int] = {}
-        total_routed = 0
-        for pair in sorted(pair_bytes):
-            route = self._routing.route(*pair)
-            if not route:
-                continue
-            nbytes = pair_bytes[pair]
-            total_routed += nbytes
-            for chan in route:
-                chan_bytes[chan] = chan_bytes.get(chan, 0) + nbytes
-        routed = 0.0
-        worst_channel: Optional[str] = None
-        for chan in sorted(chan_bytes):
-            bandwidth = self._routing.channel_bandwidth(chan)
-            if not bandwidth:  # pragma: no cover - defensive
-                continue
-            value = (
-                chan_bytes[chan] / (DMA_EFFICIENCY * bandwidth) * FLOAT_SAFETY
-            )
-            if value > routed:
-                routed = value
-                worst_channel = chan
-        share = (
-            chan_bytes[worst_channel] / total_routed
-            if worst_channel is not None and total_routed > 0
-            else 0.0
-        )
-        bound = routed if routed > incident else incident
-        return (
-            bound,
-            incident,
-            worst_mem,
-            edge,
-            top_bytes,
-            worst_channel,
-            share,
-        )
+        for (chan, root, kind), nbytes in sorted(tally.items()):
+            if chan == channel and nbytes > top_bytes:
+                top_bytes = nbytes
+                edge = (kind, root)
+        return communication, edge, top_bytes, channel, chan_bytes[channel] / total
 
     def _schedule(self, mapping: Mapping) -> float:
         """The engine's makespan for ``mapping``, deflated once."""
@@ -505,7 +408,7 @@ class StaticBoundAnalyzer:
     # ------------------------------------------------------------------
     def breakdown(self, mapping: Mapping) -> BoundBreakdown:
         """Component-wise lower bound for ``mapping``, with the traffic
-        evidence; ``total`` equals :meth:`lower_bound` exactly.
+        evidence; :meth:`lower_bound` is its ``total``.
 
         A mapping covering every task kind of the graph gets every
         component; a partial mapping gets the critical path only, with
@@ -525,20 +428,19 @@ class StaticBoundAnalyzer:
                 critical_path=cp, load=0.0, communication=0.0
             )
         else:
-            comm, incident, mem, edge, nbytes, channel, share = (
-                self._communication(mapping)
-            )
+            # The schedule's engine run compiles (or hits) every root
+            # program the traffic tally then reads.
+            schedule = self._schedule(mapping)
+            comm, edge, nbytes, channel, share = self._traffic(mapping)
             result = BoundBreakdown(
                 critical_path=cp,
                 load=load,
                 communication=comm,
-                comm_memory=mem,
                 comm_edge=edge,
                 comm_edge_bytes=nbytes,
-                communication_incident=incident,
                 comm_channel=channel,
                 comm_channel_share=share,
-                schedule=self._schedule(mapping),
+                schedule=schedule,
             )
         self._breakdown_cache[key] = result
         return result
@@ -555,43 +457,14 @@ class StaticBoundAnalyzer:
 
     def lower_bound(self, mapping: Mapping) -> float:
         """Sound lower bound on ``Simulator.run(mapping).makespan``:
-        :meth:`quick_bound`, raised to the schedule component for a full
-        mapping.  Equals ``breakdown(mapping).total`` exactly, without
-        the traffic walk.
+        ``breakdown(mapping).total``, i.e. :meth:`quick_bound` raised to
+        the schedule component for a full mapping.
 
         The schedule term is one simulation (an engine run), so this is
         for analysis only (AM401's dominance check); a tune never calls
         it, because every engine run a tune makes is a counted
         simulation."""
-        self.checks += 1
-        key = mapping.key()
-        bound = self._bound_cache.get(key)
-        if bound is not None:
-            self.cache_hits += 1
-            return bound
-        partial, bound = self._quick(mapping)
-        if not partial:
-            bound = max(bound, self._schedule(mapping))
-        self._bound_cache[key] = bound
-        return bound
-
-    def gap_ratio(self, mapping: Mapping) -> float:
-        """Routed-vs-incident tightening for one mapping: how much the
-        channel-path congestion bound improves on the incident aggregate
-        (>= 1.0; exactly 1.0 when the mapping moves no bytes).
-
-        A pure function of ``(graph, machine, mapping)``: it does not
-        depend on which candidates the search happened to bound, so
-        reports built from it stay bit-identical across
-        checkpoint/resume.  It reads the traffic walk alone, never the
-        engine, so a tune can report it without an uncounted run.
-        """
-        if self._is_partial(mapping):
-            return 1.0
-        communication, incident = self._communication(mapping)[:2]
-        if incident <= 0.0:
-            return 1.0
-        return communication / incident
+        return self.breakdown(mapping).total
 
     def _quick(self, mapping: Mapping) -> Tuple[bool, float]:
         """``(partial, quick bound)`` for ``mapping``, cached per key."""
@@ -642,25 +515,20 @@ class StaticBoundAnalyzer:
                 )
             )
         if bd.communication > max(bd.critical_path, bd.load):
-            kind, root = bd.comm_edge or (None, None)
-            detail = (
-                f"; heaviest edge: {kind} reading collection root "
-                f"{root!r} ({bd.comm_edge_bytes} bytes)"
-                if kind is not None
-                else ""
-            )
+            # Traffic above zero has a busiest channel and a heaviest
+            # edge on it.
+            kind, root = bd.comm_edge
             found.append(
                 Diagnostic(
                     rule_id="AM402",
                     message=(
-                        f"mandatory traffic through {bd.comm_memory} "
+                        f"mandatory traffic over {bd.comm_channel} "
                         f"({bd.communication:.6g}s) dominates compute "
-                        f"({max(bd.critical_path, bd.load):.6g}s)"
-                        + detail
+                        f"({max(bd.critical_path, bd.load):.6g}s); "
+                        f"heaviest edge: {kind} reading collection root "
+                        f"{root!r} ({bd.comm_edge_bytes} bytes)"
                     ),
-                    span=Span(
-                        kind=kind, collection=root, memory=bd.comm_memory
-                    ),
+                    span=Span(kind=kind, collection=root),
                 )
             )
         if (

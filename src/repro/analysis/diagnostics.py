@@ -252,8 +252,8 @@ _register(
     "AM402",
     Severity.WARNING,
     "communication-dominated placement",
-    "Mandatory traffic through one memory outweighs every compute bound; "
-    "the offending edge is named.",
+    "Mandatory traffic over one channel outweighs every compute bound; "
+    "the channel and its heaviest edge are named.",
 )
 _register(
     "AM403",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.canonical import Canonicalizer
-from repro.analysis.diagnostics import DiagnosticReport
+from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Span
 from repro.analysis.memfeas import StaticMemoryFeasibility
 from repro.analysis.sanitizer import sanitize_graph
 from repro.analysis.validity import check_mapping
@@ -92,25 +92,36 @@ def _diagnose_bounds(
     mapping: Optional["Mapping"],
     canonicalizer: Canonicalizer,
 ) -> DiagnosticReport:
-    """AM4xx + AM5xx: bound/routing diagnostics for one (already valid)
-    mapping.
+    """AM4xx + AM5xx: bound, traffic and machine diagnostics for one
+    (already valid) mapping.
 
     The reference makespan AM401 compares against is a noise-free,
     spill-enabled simulation of the space's default mapping — the
     "don't search at all" baseline; the bound is priced on the mapping
     the simulator would actually execute (spill demotions applied).
     The machine-level AM5xx findings ride along: unreachable memory
-    pairs (AM503) from the routing model and interchangeable-kind folds
-    (AM502) from the canonicalizer's verified symmetry group.
+    pairs (AM503) from the machine's route table and interchangeable-kind
+    folds (AM502) from the canonicalizer's verified symmetry group.
     The runtime import stays local: the analysis package must be
     importable from below the runtime layer.
     """
     from repro.analysis.bounds import StaticBoundAnalyzer
-    from repro.analysis.routing import RoutingModel
+    from repro.machine.topology import Topology
     from repro.runtime.simulator import SimConfig, Simulator
 
     report = DiagnosticReport()
-    report.extend(RoutingModel(machine).diagnose())
+    report.extend(
+        Diagnostic(
+            rule_id="AM503",
+            message=(
+                f"no channel path between {src} and {dst}: any "
+                f"mapping that needs a copy between them fails at "
+                f"simulation time"
+            ),
+            span=Span(memory=src),
+        )
+        for src, dst in Topology.of(machine).unreachable_pairs()
+    )
     report.extend(canonicalizer.diagnose_symmetry())
     if not graph.launches:
         # Degenerate graph: nothing to simulate and no mapping to

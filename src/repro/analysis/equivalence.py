@@ -62,8 +62,9 @@ fuzz invariant, which bit-compares fresh noise-free tunes):
   all links of a kind shape, which is why access-link parameters must
   be equal for every link whose processor kind is touchable, not just
   for links of touchable concrete processors.
-* The full routed bound feeds only pruning, which is report-invariant
-  by the PR 5 contract (strictly fewer simulations, identical result).
+* Bound pruning reads ``quick_bound`` alone, and pruning is
+  report-invariant (strictly fewer simulations, identical result); the
+  analyzer's traffic evidence never reaches a tune.
 * ``kind_runtimes`` (finalist ordering) simulates the canonical default
   mapping — covered by touchable-parameter equality plus the capacity
   lemma (its OOM fallback triggers identically).
@@ -76,10 +77,9 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Span
 from repro.analysis.memfeas import StaticMemoryFeasibility
-from repro.analysis.routing import RoutingModel, channel_key
 from repro.analysis.symmetry import MachineSymmetry
 from repro.machine.kinds import ProcKind
-from repro.machine.topology import Topology
+from repro.machine.topology import Topology, channel_key
 from repro.util.serialization import to_jsonable
 from repro.util.units import format_bytes
 
@@ -218,16 +218,16 @@ def touchable_resources(
             mem = machine.closest_memory(proc, mk)
             if mem is not None:
                 mems.add(mem.uid)
-    model = RoutingModel(machine)
+    topology = Topology.of(machine)
     chans = set()
     ordered = sorted(mems)
     for src in ordered:
         for dst in ordered:
             if src == dst:
                 continue
-            route = model.route(src, dst)
-            if route:
-                chans.update(route)
+            hops = topology.hops(src, dst)
+            if hops:
+                chans.update(key for key, _latency, _bandwidth in hops)
     return TouchableResources(
         proc_kinds=frozenset(kinds),
         proc_uids=frozenset(p.uid for p in procs),

@@ -113,11 +113,6 @@ class TuningReport:
     #: them out of the finalist re-evaluation.
     bound_pruned: int = 0
     bound_settled: int = 0
-    #: Routed-vs-incident communication-bound tightening on the best
-    #: mapping's spill plan (>= 1.0; exactly 1.0 without a bound
-    #: analyzer).  A pure function of the best mapping, so it is
-    #: bit-identical across checkpoint/resume.
-    bound_gap_ratio: float = 1.0
     #: Canonicalizations the machine-symmetry orbit fold changed (0 on
     #: machines without interchangeable kinds).
     symmetry_folds: int = 0
@@ -166,11 +161,6 @@ class TuningReport:
                 f"  bound pruning: {self.bound_pruned} candidates pruned "
                 f"by static lower bounds, {self.bound_settled} settled "
                 f"after the search"
-            )
-        if self.bound_gap_ratio != 1.0:
-            lines.append(
-                f"  routed bound: {self.bound_gap_ratio:.3f}x tighter "
-                f"than incident bandwidth on the best mapping"
             )
         if self.symmetry_folds:
             lines.append(
@@ -519,20 +509,6 @@ class TuningEngine:
         # the recorder on.  Off the search path entirely (the memo cache
         # and execution counters are untouched), so a traced run's
         # report is byte-identical to an untraced one.
-        # Routed-vs-incident gap on the winner: a pure function of the
-        # best mapping's spill plan, so it resumes bit-identically
-        # (unlike per-candidate bound counts, which replay skips).
-        gap_analyzer = (
-            prepared.bounds
-            if prepared.bounds is not None
-            else prepared.order_bounds
-        )
-        bound_gap = 1.0
-        if gap_analyzer is not None and best_mapping is not None:
-            bound_gap = gap_analyzer.gap_ratio(
-                prepared.simulator.spill_plan(best_mapping)
-            )
-
         trace_recorder: Optional[TraceRecorder] = None
         breakdown: Optional[dict] = None
         if request.trace and best_mapping is not None:
@@ -545,14 +521,12 @@ class TuningEngine:
             )
             breakdown = trace_recorder.breakdown()
 
-        # Analysis gauges ride along in the metrics snapshot.  Both are
-        # deterministic across checkpoint/resume: the gap is a function
-        # of the best mapping alone, and the orbit fold runs before the
-        # replay ledger is consulted, so a resumed run re-derives the
-        # same fold count.
+        # The analysis gauge rides along in the metrics snapshot.  It is
+        # deterministic across checkpoint/resume: the orbit fold runs
+        # before the replay ledger is consulted, so a resumed run
+        # re-derives the same fold count.
         metrics = oracle.metrics.as_dict()
         gauges = metrics.setdefault("gauges", {})
-        gauges["analysis.bound_gap_ratio"] = bound_gap
         gauges["analysis.symmetry_folds"] = float(oracle.symmetry_folds)
 
         report = TuningReport(
@@ -574,7 +548,6 @@ class TuningEngine:
             canonical_folds=oracle.canonical_folds,
             bound_pruned=oracle.bound_pruned,
             bound_settled=oracle.bound_settled,
-            bound_gap_ratio=bound_gap,
             symmetry_folds=oracle.symmetry_folds,
             simulations=(
                 prepared.simulator.executions

@@ -154,7 +154,6 @@ def _check_static(case: FuzzCase, graph, machine) -> List[Violation]:
             "critical_path",
             "load",
             "communication",
-            "communication_incident",
             "schedule",
         ):
             value = getattr(bd, component)
@@ -166,14 +165,6 @@ def _check_static(case: FuzzCase, graph, machine) -> List[Violation]:
                         f"{makespan!r} for {mapping.key()}",
                     )
                 )
-        if bd.communication_incident > bd.communication:
-            violations.append(
-                Violation(
-                    "bound",
-                    "incident bound exceeds routed bound: "
-                    f"{bd.communication_incident!r} > {bd.communication!r}",
-                )
-            )
 
         # A fold or relabel that makes the mapping unsimulable is a
         # violation of that invariant, not a harness crash: both are
@@ -364,8 +355,8 @@ def _check_equivalence(case: FuzzCase) -> List[Violation]:
         prove_equivalent,
         touchable_resources,
     )
-    from repro.analysis.routing import channel_key
     from repro.machine.overrides import apply_machine_params
+    from repro.machine.topology import channel_key
     from repro.util.units import GIB
 
     base = case.with_(noise_sigma=0.0)

@@ -309,14 +309,6 @@ class Machine:
         """The channel between two memories, if one exists."""
         return self._channels.get(tuple(sorted((mem_a, mem_b))))
 
-    def channels_of(self, mem_uid: str) -> List[Channel]:
-        """All channels incident to a memory."""
-        return [
-            chan
-            for chan in self.channels
-            if mem_uid in chan.endpoints()
-        ]
-
     # ------------------------------------------------------------------
     # Kind-level access characteristics (used by the task cost model)
     # ------------------------------------------------------------------

@@ -24,7 +24,8 @@ root's *program*: per read, the launch finishes and copy completions it
 waits on and its routed copies, plus the root's final footprint.  A hit
 skips the walk.  Every run then makes one timing pass over all roots'
 programs in the executor's (launch, point, slot) order; no execution
-state outlives a run.
+state outlives a run.  :meth:`IncrementalEngine.copies` reads the same
+programs, in the same order, as the bound analyzer's traffic evidence.
 
 **Byte-identity contract.**  The engine reproduces
 :meth:`repro.runtime.executor.Executor.run` exactly:
@@ -53,7 +54,7 @@ and the CI ``incremental-identity`` step).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.machine.kinds import ProcKind
 from repro.machine.model import Machine
@@ -467,11 +468,10 @@ class IncrementalEngine:
         return tuple(ops), seg_map.footprint()
 
     # ------------------------------------------------------------------
-    def run(self, mapping: Mapping) -> ExecutionReport:
-        """One deterministic execution, byte-identical to
-        :meth:`Executor.run` on the same (validated, fitting) mapping."""
+    def _fetch(self, mapping: Mapping) -> Tuple[List[_LaunchCost], List[tuple]]:
+        """The mapping's launch costs, in executor order, and each
+        root's program, served from the memo or compiled on a miss."""
         stats = self.stats
-        stats.runs += 1
         costs = self.costs.costs
         decision = mapping.decision
         entries = []
@@ -481,7 +481,6 @@ class IncrementalEngine:
             entries.append(entry)
             for root, pid in entry.roots:
                 keys[root].append(pid)
-        stats.launches_executed += len(entries)
 
         programs = []
         for root, memo in enumerate(self._programs):
@@ -493,6 +492,39 @@ class IncrementalEngine:
             else:
                 stats.program_hits += 1
             programs.append(program)
+        return entries, programs
+
+    def copies(
+        self, mapping: Mapping
+    ) -> Iterator[Tuple[str, str, Tuple[str, ...], int]]:
+        """Every copy an execution of ``mapping`` makes, in the
+        executor's (launch, point, slot) order, as ``(consumer kind,
+        coherence root, channel keys, bytes)``: read off the same root
+        programs :meth:`run` times, so exactly the executor's copies.
+        Raises the copy engine's ``ValueError`` where :meth:`run` does,
+        at the first copy with no channel path."""
+        entries, programs = self._fetch(mapping)
+        roots = list(self.costs.root_index)
+        channels = list(self._channels)
+        next_op = [iter(ops).__next__ for ops, _footprint in programs]
+        for entry, kind_name in zip(entries, self._kind_names):
+            for _proc, _duration, read_roots in entry.timing:
+                for root in read_roots:
+                    op = next_op[root]()
+                    if op is None:
+                        continue
+                    _waits, _copy_waits, copies = op
+                    for _src, hops, _seconds, nbytes in copies:
+                        keys = tuple(channels[chan] for chan, _ in hops)
+                        yield kind_name, roots[root], keys, nbytes
+
+    def run(self, mapping: Mapping) -> ExecutionReport:
+        """One deterministic execution, byte-identical to
+        :meth:`Executor.run` on the same (validated, fitting) mapping."""
+        stats = self.stats
+        stats.runs += 1
+        entries, programs = self._fetch(mapping)
+        stats.launches_executed += len(entries)
 
         # The timing pass.  Every ``max`` of the executor is written as a
         # comparison (``b if b > a else a`` is ``max(a, b)``, ties

@@ -17,13 +17,12 @@ collections.
 No operation here decides by time.  Times are opaque stamps the map
 stores and hands back: ``plan_read`` returns the stamps of the parts
 already resident and each copy's source stamp, and the caller folds
-them.  So one map serves three walks that issue the same copies: the
-executor's, with float times; the incremental engine's compile of a
+them.  So one map serves two walks that issue the same copies: the
+executor's, with float times, and the incremental engine's compile of a
 root program (:mod:`repro.runtime.incremental`), with symbolic stamps
-naming the writing launch or the completing copy; and the bound
-analyzer's traffic walk (:mod:`repro.analysis.bounds`), with every time
-at zero, so the traffic evidence's copy set is the executor's by
-construction.
+naming the writing launch or the completing copy.  The bound analyzer's
+traffic evidence (:mod:`repro.analysis.bounds`) reads the engine's
+compiled copies, so its copy set is the executor's by construction.
 """
 
 from __future__ import annotations

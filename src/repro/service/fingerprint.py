@@ -166,7 +166,7 @@ def workload_class_key(
         graph_body_doc,
         touchable_resources,
     )
-    from repro.analysis.routing import channel_key
+    from repro.machine.topology import channel_key
 
     if space is None:
         from repro.mapping.space import SearchSpace

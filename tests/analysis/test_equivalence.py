@@ -174,7 +174,7 @@ class TestProver:
         assert "n0.sys0" in proof.witness
 
     def test_touchable_channel_change_rejected(self):
-        from repro.analysis.routing import channel_key
+        from repro.machine.topology import channel_key
 
         g1, m1, s1 = _workload()
         touch = touchable_resources(g1, m1, s1)

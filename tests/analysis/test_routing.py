@@ -1,14 +1,19 @@
-"""The routing model: the analyzer's view of the executor's copy paths.
+"""Routing as the analyses see it: the executor's copy paths.
 
-Soundness of the per-channel congestion bound rests on two identities
-pinned here: the route reported for a memory pair is hop-for-hop the
-``Topology.copy_path`` the simulator's copy engine reserves, and the
-timeline key per hop is the engine's own serial channel key.
+The bound analyzer's per-channel traffic rests on two identities pinned
+here: every copy the incremental engine compiles crosses, hop for hop,
+the channels the executor's copy engine reserves, and the timeline key
+per hop is the copy engine's own serial channel key.  The static
+reachability queries (AM503) are read off the machine's one route
+table.
 """
 
 from __future__ import annotations
 
-from repro.analysis.routing import RoutingModel, channel_key
+import random
+
+from repro.analysis import analyze
+from repro.apps import make_app
 from repro.machine import MACHINE_ZOO, lassen, shepard, single_node
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import (
@@ -18,10 +23,15 @@ from repro.machine.model import (
     Memory,
     Processor,
 )
-from repro.machine.topology import Topology
+from repro.machine.topology import Topology, channel_key
+from repro.mapping.space import SearchSpace
+from repro.obs.trace import CAT_COPY, CAT_TASK
 from repro.runtime.copies import CopyEngine
 from repro.runtime.events import TimelinePool
+from repro.runtime.incremental import IncrementalEngine
 from repro.runtime.instances import CopyNeed
+from repro.runtime.simulator import SimConfig, Simulator
+from repro.taskgraph.graph import TaskGraph
 from repro.util.units import GIB
 
 
@@ -75,40 +85,61 @@ class TestChannelKey:
         assert channel_key("a", "b") == channel_key("b", "a")
 
 
-class TestRoutes:
-    def test_routes_mirror_topology_paths(self):
+class TestEngineCopies:
+    """The bound analyzer's traffic is the engine's compiled copies, so
+    each must cross exactly the channels the executor reserves for it,
+    and name the task kind that reads it."""
+
+    def test_copies_are_the_executors_hops(self):
+        multi_hop = False
         for machine in (shepard(2), lassen(1)):
-            model = RoutingModel(machine)
-            topology = Topology(machine)
-            mems = [m.uid for m in machine.memories]
-            for src in mems:
-                for dst in mems:
-                    route = model.route(src, dst)
-                    path = topology.copy_path(src, dst)
-                    if path is None:
-                        assert route is None
-                        continue
-                    assert route == tuple(
-                        channel_key(h.mem_a, h.mem_b) for h in path.hops
+            for app_name, params in (
+                ("stencil", {"nx": 64, "ny": 64}),
+                ("circuit", {"nodes": 60, "wires": 240}),
+            ):
+                graph = make_app(app_name, **params).graph(machine)
+                space = SearchSpace(graph, machine)
+                simulator = Simulator(
+                    graph, machine, SimConfig(noise_sigma=0.0, spill=True)
+                )
+                engine = IncrementalEngine(graph, machine)
+                roots_of: dict = {}
+                for launch in graph.launches:
+                    roots_of.setdefault(launch.kind.name, set()).update(
+                        arg.root for arg in launch.args
                     )
-
-    def test_same_memory_routes_empty(self):
-        model = RoutingModel(shepard(1))
-        assert model.route("n0.zc", "n0.zc") == ()
-
-    def test_channel_bandwidth_lookup(self):
-        machine = shepard(1)
-        model = RoutingModel(machine)
-        chan = machine.channels[0]
-        key = channel_key(chan.mem_a, chan.mem_b)
-        assert model.channel_bandwidth(key) == chan.bandwidth
-        assert model.channel_bandwidth("chan:x<->y") is None
+                rng = random.Random(5)
+                mappings = [space.default_mapping()]
+                mappings += [space.random_mapping(rng, valid=True) for _ in range(3)]
+                for mapping in mappings:
+                    recorder, result = simulator.trace(mapping)
+                    # A point's copies are recorded, hop by hop, before
+                    # its task span.
+                    hops, pending = [], []
+                    for span in recorder.spans:
+                        if span.category == CAT_COPY:
+                            pending.append((span.resource, span.args["bytes"]))
+                        elif span.category == CAT_TASK:
+                            kind = span.args["kind"]
+                            hops += [(kind, *hop) for hop in pending]
+                            pending = []
+                    copies = list(engine.copies(result.executed_mapping))
+                    assert [
+                        (kind, key, nbytes)
+                        for kind, _root, keys, nbytes in copies
+                        for key in keys
+                    ] == hops
+                    assert len(copies) == result.report.copy_stats.num_copies
+                    for kind, root, keys, _nbytes in copies:
+                        assert root in roots_of[kind]
+                        multi_hop = multi_hop or len(keys) > 1
+        assert multi_hop
 
 
 class TestUnreachable:
     def test_connected_machines_have_no_unreachable_pairs(self):
         for machine in (shepard(2), lassen(2), single_node()):
-            assert RoutingModel(machine).unreachable_pairs() == []
+            assert Topology.of(machine).unreachable_pairs() == []
 
     def test_component_pairs_match_per_pair_routing(self):
         # Every zoo machine, the island machine, and shepard(2) cut into
@@ -138,30 +169,38 @@ class TestUnreachable:
                 for dst in mems[i + 1 :]
                 if topology.copy_path(src, dst) is None
             ]
-            assert RoutingModel(machine).unreachable_pairs() == per_pair
+            assert Topology.of(machine).unreachable_pairs() == per_pair
             assert Topology(machine).connected() == (not per_pair)
-        assert len(RoutingModel(cut).unreachable_pairs()) == 4 * 4
+        assert len(Topology.of(cut).unreachable_pairs()) == 4 * 4
 
     def test_island_memory_is_reported(self):
-        model = RoutingModel(island_machine())
-        assert model.unreachable_pairs() == [
+        machine = island_machine()
+        assert Topology.of(machine).unreachable_pairs() == [
             ("sysA", "sysB"),
             ("sysB", "zc"),
         ]
-        diags = model.diagnose()
-        assert [d.rule_id for d in diags] == ["AM503", "AM503"]
-        assert "sysB" in diags[0].message
+        report = analyze(TaskGraph("empty", [], []), machine, bounds=True)
+        diags = [d for d in report if d.rule_id == "AM503"]
+        assert [d.message for d in diags] == [
+            "no channel path between sysA and sysB: any mapping that "
+            "needs a copy between them fails at simulation time",
+            "no channel path between sysB and zc: any mapping that "
+            "needs a copy between them fails at simulation time",
+        ]
+        assert [d.span.memory for d in diags] == ["sysA", "sysB"]
 
 
 class TestModelCache:
-    """Models hold no routes of their own: every model of one machine
-    object reads that machine's one shared route table."""
+    """Every reader of one machine object's routes reads that machine's
+    one shared route table."""
 
     def test_same_machine_object_hits_cache(self):
         machine = shepard(1)
-        assert RoutingModel(machine).topology is Topology.of(machine)
-        assert RoutingModel(machine).topology is RoutingModel(machine).topology
+        assert Topology.of(machine) is Topology.of(machine)
+        assert IncrementalEngine(
+            TaskGraph("empty", [], []), machine
+        ).topology is Topology.of(machine)
 
     def test_equal_but_distinct_machines_get_distinct_models(self):
         a, b = shepard(1), shepard(1)
-        assert RoutingModel(a).topology is not RoutingModel(b).topology
+        assert Topology.of(a) is not Topology.of(b)

@@ -20,11 +20,11 @@ from repro.analysis.equivalence import (
     prove_equivalent,
     touchable_resources,
 )
-from repro.analysis.routing import channel_key
 from repro.apps import make_app
 from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import MACHINE_ZOO
 from repro.machine.overrides import apply_machine_params
+from repro.machine.topology import channel_key
 from repro.runtime import SimConfig
 from repro.util.units import GIB
 

@@ -384,8 +384,8 @@ def test_unroutable_copy_raises_the_executors_error():
     """Routes are looked up while compiling a root, yet a run raises the
     copy engine's error where the executor meets it: at the first
     unroutable copy in time order, here in the second root to compile.
-    The failing mapping raises again from its memoised programs, and
-    routable ones still match the executor."""
+    The failing mapping raises again from its memoised programs, and so
+    does reading its copies; routable ones still match the executor."""
     machine = island_machine()
     graph = _island_graph()
     engine = IncrementalEngine(graph, machine)
@@ -401,12 +401,16 @@ def test_unroutable_copy_raises_the_executors_error():
         with pytest.raises(ValueError) as from_engine:
             engine.run(failing)
         assert str(from_engine.value) == str(from_executor.value)
+    with pytest.raises(ValueError) as from_copies:
+        list(engine.copies(failing))
+    assert str(from_copies.value) == str(from_executor.value)
     for routable in (
         _island_mapping(sysmem, zc, zc, zc),
         _island_mapping(zc, sysmem, zc, zc),
     ):
         report = engine.run(routable)
         assert report.copy_stats.num_copies == 1
+        assert len(list(engine.copies(routable))) == 1
         assert _report_tuple(report) == _report_tuple(executor.run(routable))
 
 
