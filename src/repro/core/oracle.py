@@ -803,7 +803,6 @@ class SimulationOracle:
             else makespan
         )
         count = self.config.runs_per_eval if runs is None else runs
-        return [
-            self.simulator.noise.sample(base, mapping.key(), offset + i)
-            for i in range(count)
-        ]
+        return self.simulator.noise.samples(
+            base, mapping.key(), count, start=offset
+        )

@@ -115,10 +115,14 @@ class MemoryPlanner:
     With ``memoize=True`` the per-launch shard lists — pure functions of
     the launch's shape and the decision — are cached and shared by
     identical launches, so repeated capacity walks over a search chain
-    skip the placement and interval arithmetic.  The walk itself
+    skip the placement and interval arithmetic.  A memoising planner
+    also answers "fits" without any footprint union when each slot's
+    decision-free shard bytes, added up per memory kind, fit the
+    smallest memory of that kind (:meth:`_totals_fit`); mappings close
+    to a capacity take the exact union path.  The walk itself
     (accumulator operations, demotion order, error messages) is
     unchanged, so memoised and unmemoised planners produce identical
-    results byte-for-byte.
+    results byte-for-byte; the unmemoised planner is the reference.
     """
 
     def __init__(
@@ -131,27 +135,37 @@ class MemoryPlanner:
         self.placer = Placer(machine)
         #: launch uid -> interned shape id (the per-launch cache key).
         self._shape_of = graph.shape_ids()
-        self._shard_cache: Optional[Dict[tuple, tuple]] = (
-            {} if memoize else None
-        )
-        if memoize:
-            #: Kind names in task-kind declaration order, launches only.
-            self._launched_kinds = [
-                kind.name
-                for kind in graph.task_kinds
-                if graph.launches_of_kind(kind.name)
-            ]
-            #: (kind, decision.key()) -> {(mem_uid, root): IntervalSet}
-            self._contrib_cache: Dict[tuple, dict] = {}
-            #: (mem_uid, root, contributors) -> union size in bytes
-            self._union_cache: Dict[tuple, int] = {}
-        else:
-            self._launched_kinds = []
-            self._contrib_cache = {}
-            self._union_cache = {}
         #: Decision-independent per-point read shard intervals,
         #: (shape id, slot) -> ((lo, hi), ...).
         self._interval_cache: Dict[tuple, tuple] = {}
+        self._shard_cache: Optional[Dict[tuple, tuple]] = (
+            {} if memoize else None
+        )
+        #: kind -> per-slot read-shard bytes over the kind's distinct
+        #: launch shapes (memoising mode only).  Every shard of slot s
+        #: lands in a memory of the decision's ``mem_kinds[s]``, so each
+        #: figure bounds what the slot adds to the memories of that
+        #: kind, whatever the decision.
+        self._slot_bytes: Dict[str, Tuple[int, ...]] = {}
+        #: memory kind -> smallest capacity among memories of the kind.
+        self._min_capacity: Dict[MemKind, int] = {}
+        if memoize:
+            self._slot_bytes = self._decision_free_slot_bytes()
+            for mem in machine.memories:
+                self._min_capacity[mem.kind] = min(
+                    mem.capacity,
+                    self._min_capacity.get(mem.kind, mem.capacity),
+                )
+        #: Kind names in task-kind declaration order, launches only.
+        self._launched_kinds = [
+            kind.name
+            for kind in graph.task_kinds
+            if kind.name in self._slot_bytes
+        ]
+        #: (kind, decision.key()) -> {(mem_uid, root): IntervalSet}
+        self._contrib_cache: Dict[tuple, dict] = {}
+        #: (mem_uid, root, contributors) -> union size in bytes
+        self._union_cache: Dict[tuple, int] = {}
 
     def _read_intervals(self, launch, slot_index: int) -> tuple:
         key = (self._shape_of[launch.uid], slot_index)
@@ -163,6 +177,28 @@ class MemoryPlanner:
             )
             self._interval_cache[key] = cached
         return cached
+
+    def _decision_free_slot_bytes(self) -> Dict[str, Tuple[int, ...]]:
+        """Per launched kind, each slot's read-shard bytes summed over
+        the kind's distinct launch shapes (equal shapes have equal
+        shards, which add nothing to a union)."""
+        totals: Dict[str, list] = {}
+        seen = set()
+        for launch in self.graph.launches:
+            shape = self._shape_of[launch.uid]
+            if shape in seen:
+                continue
+            seen.add(shape)
+            slots = totals.setdefault(
+                launch.kind.name, [0] * launch.kind.num_slots
+            )
+            for slot_index in range(len(slots)):
+                slots[slot_index] += sum(
+                    hi - lo
+                    for lo, hi in self._read_intervals(launch, slot_index)
+                    if hi > lo
+                )
+        return {name: tuple(slots) for name, slots in totals.items()}
 
     def _shards(self, launch, decision) -> tuple:
         """Non-empty ``(slot_index, mem_uid, root, lo, hi)`` shards of
@@ -216,17 +252,43 @@ class MemoryPlanner:
         self._contrib_cache[key] = contrib
         return contrib
 
+    def _totals_fit(self, mapping: Mapping) -> bool:
+        """Whether the decision-free slot bytes, added up per memory
+        kind under the mapping's ``mem_kinds``, fit the smallest memory
+        of each kind.
+
+        Sound, not exact: a memory's union footprint is at most the
+        bytes of the shards that land in it, and those are a subset of
+        the shards counted under its kind.  A kind the machine lacks
+        never fits here, so such mappings reach the exact path.
+        """
+        need: Dict[MemKind, int] = {}
+        for kind_name in self._launched_kinds:
+            mem_kinds = mapping.decision(kind_name).mem_kinds
+            slot_bytes = self._slot_bytes[kind_name]
+            for mem_kind, nbytes in zip(mem_kinds, slot_bytes):
+                need[mem_kind] = need.get(mem_kind, 0) + nbytes
+        capacity = self._min_capacity
+        return all(
+            total <= capacity.get(mem_kind, -1)
+            for mem_kind, total in need.items()
+        )
+
     def _fast_fits(self, mapping: Mapping) -> bool:
         """Whether the mapping's exact steady-state footprint fits every
         memory, computed from cached per-kind contributions.
 
-        The final per-(memory, root) footprint is the union of the
-        per-kind contributions, which is order-independent, so these
-        totals equal the ones the program-order walk in :meth:`check`
+        :meth:`_totals_fit` settles most mappings in O(kinds); the rest,
+        close to some capacity, take the exact path.  There the final
+        per-(memory, root) footprint is the union of the per-kind
+        contributions, which is order-independent, so these totals
+        equal the ones the program-order walk in :meth:`check`
         produces.  Unions are cached by their contributor set: along a
         search chain most kinds keep their decision, so only groups
         touched by the changed kind are re-merged.
         """
+        if self._totals_fit(mapping):
+            return True
         groups: Dict[Tuple[str, str], list] = {}
         contribs: Dict[tuple, dict] = {}
         for kind_name in self._launched_kinds:
@@ -294,10 +356,13 @@ class MemoryPlanner:
             # the exact walk below passes and the walk returns the
             # mapping unchanged — skip it.
             return mapping
-        demoted: Dict[Tuple[str, int], MemKind] = {}
         current = mapping
-        # Iterate to a fixed point: each pass re-walks program order with
-        # the demotions applied; at most (kinds x slots x kinds) passes.
+        # Iterate to a fixed point: each pass re-walks program order
+        # with the demotions so far and either returns or demotes one
+        # slot.  A processor kind addresses two memory kinds, so a valid
+        # slot is demoted at most once before _next_kind runs out and
+        # the walk raises (a slot on neither kind at most twice): one
+        # final pass plus two per slot always suffices.
         for _ in range(1 + sum(k.num_slots for k in self.graph.task_kinds) * 2):
             acc = _FootprintAccumulator(self.machine)
             retry = False
@@ -320,7 +385,6 @@ class MemoryPlanner:
                             f"({format_bytes(hi - lo)} shard in "
                             f"{mem_uid})"
                         )
-                    demoted[(launch.kind.name, slot_index)] = next_kind
                     current = current.with_mem(
                         launch.kind.name, slot_index, next_kind
                     )

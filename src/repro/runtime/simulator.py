@@ -46,10 +46,13 @@ class SimConfig:
         When True (the default), untraced executions run through the
         incremental engine (per-launch cost memoisation, see
         :mod:`repro.runtime.incremental`), spill plans and noise
-        factors are memoised, and repeated validations of one mapping
-        key are deduplicated.  Results are byte-identical to the full
-        path; ``--no-incremental`` turns the whole bundle off, which is
-        what the CI identity gate measures against.
+        factors are memoised, the memory planner rules a mapping in
+        from decision-free per-slot byte totals before any footprint
+        union, and repeated validations of one mapping key are
+        deduplicated.  Results are byte-identical to the full path;
+        ``--no-incremental`` turns the whole bundle off (an unfiltered
+        planner and an uncached noise model), which is what the CI
+        identity gate measures against.
     """
 
     noise_sigma: float = 0.04

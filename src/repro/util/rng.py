@@ -12,14 +12,33 @@ the standard reproducibility discipline for simulation codes: the same
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["derive_seed", "RngStream"]
+__all__ = ["derive_seed", "derive_seeds", "RngStream"]
 
 # Upper bound for derived seeds; fits comfortably in numpy's SeedSequence.
 _SEED_SPACE = 2**63
+
+
+def _path_hash(base_seed: int, names: Iterable[str]):
+    """The BLAKE2b state after hashing ``base_seed`` and ``names``."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(str(int(base_seed)).encode("utf-8"))
+    for name in names:
+        _extend(h, name)
+    return h
+
+
+def _extend(h, name: str):
+    h.update(b"\x1f")  # unit separator: ("ab","c") != ("a","bc")
+    h.update(str(name).encode("utf-8"))
+    return h
+
+
+def _seed_of(h) -> int:
+    return int.from_bytes(h.digest(), "little") % _SEED_SPACE
 
 
 def derive_seed(base_seed: int, *names: str) -> int:
@@ -41,12 +60,17 @@ def derive_seed(base_seed: int, *names: str) -> int:
     int
         A non-negative seed ``< 2**63``.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(base_seed)).encode("utf-8"))
-    for name in names:
-        h.update(b"\x1f")  # unit separator: ("ab","c") != ("a","bc")
-        h.update(str(name).encode("utf-8"))
-    return int.from_bytes(h.digest(), "little") % _SEED_SPACE
+    return _seed_of(_path_hash(base_seed, names))
+
+
+def derive_seeds(
+    base_seed: int, prefix: Sequence[str], leaves: Iterable[str]
+) -> List[int]:
+    """``[derive_seed(base_seed, *prefix, leaf) for leaf in leaves]``,
+    hashing the shared ``prefix`` once: each leaf's seed comes from a
+    copy of the prefix's hash state."""
+    h = _path_hash(base_seed, prefix)
+    return [_seed_of(_extend(h.copy(), leaf)) for leaf in leaves]
 
 
 class RngStream:

@@ -12,12 +12,16 @@ draws, OOM paths, unroutable copies, and whole tuning runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps import make_app
 from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import lassen, shepard
+from repro.machine.builders import HELIX_T4_NODE, heterogeneous_cluster
 from repro.machine.kinds import ADDRESSABLE, MemKind, ProcKind
+from repro.machine.overrides import apply_machine_params
 from repro.mapping import Mapping, MappingDecision, SearchSpace
 from repro.obs.trace import diff_traces
 from repro.runtime import SimConfig, Simulator
@@ -185,44 +189,118 @@ def test_mutation_chain_identity_no_spill(app_name):
     assert sim_inc.executions == sim_full.executions
 
 
-def test_planner_fast_path_matches_exact_walk():
-    """The memoised planner's no-overflow fast path and the exact walk
-    agree on every spill resolution and every OOM verdict."""
-    machine = lassen(2)
-    for app_name in ("stencil", MIXED):
-        graph = _graph(app_name, machine)
-        space = SearchSpace(graph, machine)
-        fast = MemoryPlanner(graph, machine, memoize=True)
-        exact = MemoryPlanner(graph, machine, memoize=False)
-        rng = RngStream(9)
-        for mapping in _chain(space, rng, length=20):
-            try:
-                spilled_fast = fast.apply_spill(mapping)
-            except OOMError as exc:
-                with pytest.raises(OOMError) as caught:
-                    exact.apply_spill(mapping)
-                assert str(caught.value) == str(exc)
-                continue
-            spilled_exact = exact.apply_spill(mapping)
-            assert spilled_fast.key() == spilled_exact.key()
+#: Machines for the capacity sweep: both stock models and a cluster
+#: whose second node has no GPU (as in tests/property).
+SWEEP_MACHINES = {
+    "shepard": lambda: shepard(2),
+    "lassen": lambda: lassen(2),
+    "gpuless-node": lambda: heterogeneous_cluster(
+        "hetero", [HELIX_T4_NODE, replace(HELIX_T4_NODE, gpus=0)]
+    ),
+}
+
+
+def _squeezed(machine, graph, space, scale: float):
+    """``machine`` with each node-0 memory's capacity set to ``scale``
+    times the default mapping's largest per-memory footprint, and four
+    times that on the other nodes, so that the smallest memory of a
+    kind, not the largest, decides whether a kind total fits."""
+    demand = MemoryPlanner(graph, machine).check(space.default_mapping())
+    peak = max(demand.per_memory.values())
+    return apply_machine_params(
+        machine,
+        {
+            "memory_capacity": {
+                mem.uid: max(1, int(scale * peak * (4 if mem.node else 1)))
+                for mem in machine.memories
+            }
+        },
+    )
+
+
+def _outcome(call, mapping):
+    """``call(mapping)``'s result, or its OOM message."""
+    try:
+        return call(mapping)
+    except OOMError as exc:
+        return f"OOMError: {exc}"
+
+
+def test_planner_fast_path_matches_exact_walk(monkeypatch):
+    """The memoised planner (its decision-free fits filter, then the
+    union fast path) and the unmemoised planner's exact walk agree on
+    every fits verdict, spill resolution and OOM message, on machines
+    squeezed from 0.5x to 4x the default mapping's footprint."""
+    verdicts = []
+    for machine_name, make_machine in sorted(SWEEP_MACHINES.items()):
+        base = make_machine()
+        for app_name in ("circuit", "stencil", MIXED):
+            graph = _graph(app_name, base)
+            space = SearchSpace(graph, base)
+            for scale in (0.5, 1.0, 2.0, 4.0):
+                machine = _squeezed(base, graph, space, scale)
+                fast = MemoryPlanner(graph, machine, memoize=True)
+                exact = MemoryPlanner(graph, machine, memoize=False)
+                totals_fit = fast._totals_fit
+
+                def counted(mapping, totals_fit=totals_fit):
+                    verdicts.append(totals_fit(mapping))
+                    return verdicts[-1]
+
+                monkeypatch.setattr(fast, "_totals_fit", counted)
+                rng = RngStream(9).fork(machine_name, app_name, str(scale))
+                for mapping in _chain(space, rng, length=12):
+                    assert _outcome(fast.ensure_fits, mapping) == _outcome(
+                        exact.ensure_fits, mapping
+                    )
+                    spilled = _outcome(fast.apply_spill, mapping)
+                    assert _outcome(exact.apply_spill, mapping) == spilled
+    # The filter settled some mappings and handed others to the exact
+    # path, so the agreement above covers both.
+    assert True in verdicts and False in verdicts
 
 
 def test_noise_cache_returns_identical_factors():
-    """Cached noise draws are bitwise what the uncached model computes,
-    in any query order, including the mean-factor aggregate."""
-    cached = NoiseModel(sigma=0.04, seed=11, cache=True)
-    uncached = NoiseModel(sigma=0.04, seed=11, cache=False)
+    """Cached and uncached noise draws are bitwise the per-slot stream
+    ``RngStream(seed).fork("noise", repr(context), str(i))`` names, in
+    any query order, from any start slot, and in the mean factor."""
+    sigma, seed = 0.04, 11
     contexts = [("m", i) for i in range(6)]
-    # Warm the cache in one order, compare in another.
-    for context in contexts:
-        cached.samples(1.5, context, 7)
-    for context in reversed(contexts):
-        a = [s.hex() for s in cached.samples(1.5, context, 7)]
-        b = [s.hex() for s in uncached.samples(1.5, context, 7)]
-        assert a == b
-        assert cached.mean_factor(context, 7).hex() == (
-            uncached.mean_factor(context, 7).hex()
-        )
+
+    def reference(base, context, slots):
+        return [
+            (
+                base
+                * RngStream(seed)
+                .fork("noise", repr(context), str(i))
+                .lognormal(-0.5 * sigma * sigma, sigma)
+            ).hex()
+            for i in slots
+        ]
+
+    def hexes(values):
+        return [value.hex() for value in values]
+
+    for cache in (True, False):
+        model = NoiseModel(sigma=sigma, seed=seed, cache=cache)
+        # Warm some slots in one order, then query overlapping runs
+        # (the measure_more path starts past the evaluation's slots).
+        for context in contexts[::2]:
+            model.samples(1.5, context, 3, start=4)
+        for context in reversed(contexts):
+            assert hexes(model.samples(1.5, context, 5, start=7)) == (
+                reference(1.5, context, range(7, 12))
+            )
+            assert hexes(model.samples(1.5, context, 7)) == (
+                reference(1.5, context, range(7))
+            )
+            assert model.sample(1.5, context, 9).hex() == (
+                reference(1.5, context, [9])[0]
+            )
+            total = 0.0
+            for i in range(7):
+                total += float.fromhex(reference(1.0, context, [i])[0])
+            assert model.mean_factor(context, 7).hex() == (total / 7).hex()
 
 
 @pytest.mark.parametrize("app_name", ["circuit", "stencil", MIXED])
