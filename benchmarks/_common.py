@@ -28,17 +28,6 @@ SEED = 2023
 MAX_SUGGESTIONS = {"quick": 20_000, "full": 160_000}
 
 
-def bench_workers() -> int:
-    """Process-pool size for candidate evaluation during figure
-    reproduction.  Parallel evaluation is bit-identical to serial
-    (see :mod:`repro.parallel`), so the figures are unchanged; set
-    ``REPRO_BENCH_WORKERS=N`` to use N worker processes."""
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-    if workers < 1:
-        raise ValueError("REPRO_BENCH_WORKERS must be >= 1")
-    return workers
-
-
 def bench_checkpoint_kwargs(label: str) -> dict:
     """Checkpointing knobs for long benchmark sweeps.
 
@@ -93,7 +82,6 @@ def prepare(
             ),
             sim_config=SimConfig(noise_sigma=0.04, seed=seed, spill=spill),
             space=app.space(machine),
-            workers=bench_workers(),
             **bench_checkpoint_kwargs(label),
         )
     )

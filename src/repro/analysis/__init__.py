@@ -7,8 +7,8 @@ a full discrete-event simulation to learn facts a static pass can prove
 in microseconds.  This package is that pre-simulation pruning layer:
 
 * :mod:`~repro.analysis.validity` — the single kind-level validity
-  checker (constraint 1) shared by the mapping validator, the oracle,
-  and the parallel workers;
+  checker (constraint 1) shared by the mapping validator and the
+  simulator's per-key verdict the oracle reads;
 * :mod:`~repro.analysis.memfeas` — proves out-of-memory without
   simulating (the runtime memory planner's own check), short-circuits the
   oracle, and marks provably-dead search coordinates;

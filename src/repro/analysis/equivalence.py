@@ -27,8 +27,10 @@ it means the service must run the tune.  The lemmas:
 2. **Unused-resource slack** (AM602).  :func:`touchable_resources`
    over-approximates what reachable mappings can touch: processor kinds
    from the space's (unpruned) dimensions plus fixed decisions, all
-   concrete processors of those kinds (the placer round-robins over the
-   whole pool), the closest memories those processors can be handed
+   concrete processors of those kinds (the placer splits a distributed
+   launch's points blocked over the nodes hosting the kind, then
+   round-robin within a node, so any processor of the kind can receive
+   a point), the closest memories those processors can be handed
    (including every spill-demotion target in ``mem_kinds_for``), and the
    channels on routed paths between touchable memories.  Parameters of
    resources *outside* that set are unobservable — with one deliberate
@@ -57,11 +59,14 @@ Soundness notes the lemmas rest on (all re-checked by the "equivalence"
 fuzz invariant, which bit-compares fresh noise-free tunes):
 
 * ``quick_bound`` (move ordering) reads critical-path and load terms
-  from throughput/launch overhead and ``typical_access_bandwidth`` of
-  *touchable* kinds only — and ``typical_access_bandwidth`` maxes over
-  all links of a kind shape, which is why access-link parameters must
-  be equal for every link whose processor kind is touchable, not just
-  for links of touchable concrete processors.
+  of *touchable* kinds only, from the bound analyzer's own per-kind
+  extremes: the maximum throughput and minimum launch overhead per
+  processor kind, and the maximum bandwidth and minimum latency per
+  (processor kind, memory kind) access-link shape.  Each extreme is
+  taken over every processor or link of its kind or shape, which is why
+  access-link parameters must be equal for every link whose processor
+  kind is touchable, not just for links of touchable concrete
+  processors.
 * Bound pruning reads ``quick_bound`` alone, and pruning is
   report-invariant (strictly fewer simulations, identical result); the
   analyzer's traffic evidence never reaches a tune.
@@ -459,8 +464,8 @@ def prove_equivalent(w1: Workload, w2: Workload) -> EquivalenceProof:
     bounds = footprint_bounds(w1.graph, m1, w1.space)
 
     # Obligation 5: processors pair index-wise; parameters equal for
-    # touchable kinds (typical_access_bandwidth and quick_bound read
-    # kind-level aggregates, so every processor of a touchable kind is
+    # touchable kinds (quick_bound reads per-kind throughput maxima and
+    # launch-overhead minima, so every processor of a touchable kind is
     # observable, pooled or not).
     if len(m1.processors) != len(m2.processors):
         return blocked("processor inventories differ in size")

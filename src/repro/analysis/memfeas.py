@@ -169,9 +169,6 @@ class StaticMemoryFeasibility:
         self._reason_cache[key] = reason
         return reason
 
-    def is_feasible(self, mapping: "Mapping") -> bool:
-        return self.oom_reason(mapping) is None
-
     # ------------------------------------------------------------------
     # Dead search coordinates
     # ------------------------------------------------------------------

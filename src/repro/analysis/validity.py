@@ -1,13 +1,14 @@
 """Shared kind-level mapping validity checker (paper §4.2 constraint 1).
 
 This is the single implementation behind :mod:`repro.mapping.validate`
-and the parallel worker's pre-simulation check in
-:mod:`repro.parallel.spec`; both previously carried their own copy of
-this reasoning.  Validity here is *kind-level*: "a task argument is
-mapped to a memory visible to the task's processor" plus the variant
-requirement of §2.  Capacity is a runtime matter — a valid mapping may
-still fail with OOM at execution (§3.1) — and is handled by the static
-feasibility pass (:mod:`repro.analysis.memfeas`) and the oracle.
+and the simulator's memoised per-key verdict
+(:meth:`repro.runtime.simulator.Simulator.invalid_reason`), which the
+evaluation oracle reads.  Validity here is *kind-level*: "a task
+argument is mapped to a memory visible to the task's processor" plus the
+variant requirement of §2.  Capacity is a runtime matter — a valid
+mapping may still fail with OOM at execution (§3.1) — and is handled by
+the static feasibility pass (:mod:`repro.analysis.memfeas`) and the
+oracle.
 
 Unlike the historical validator, a slot-count mismatch (``AM002``) no
 longer suppresses the remaining checks for that kind: the variant and

@@ -204,13 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument(
         "--max-suggestions", type=int, default=20_000
     )
-    tune.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size for parallel candidate evaluation "
-        "(1 = serial; results are identical either way)",
-    )
     tune.add_argument("--workdir", default=None)
     tune.add_argument(
         "--resume",
@@ -229,15 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with a workdir, snapshot the full search state to "
         "checkpoint.json every N evaluations (atomically replaced; "
         "0 = only at interrupt and at the end)",
-    )
-    tune.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-candidate wall-clock limit for worker-pool results; "
-        "a hung worker is terminated, the pool rebuilt, and the "
-        "candidate retried (default: wait forever)",
     )
     tune.add_argument(
         "--trace",
@@ -374,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="soundness fuzzing: seeded random (generator, machine, "
         "search-config) cases checked against the bound/canonical/"
-        "relabel/resume/parallel/equivalence invariants",
+        "relabel/resume/incremental/equivalence invariants",
     )
     fuzz.add_argument(
         "--seed",
@@ -407,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
             "canonical",
             "relabel",
             "resume",
-            "parallel",
+            "incremental",
             "equivalence",
         ],
         metavar="NAME",
         help="check only this invariant (repeatable; default: all six; "
-        "'parallel' asserts --workers 2 and --no-incremental runs are "
-        "bit-identical to the serial incremental run; 'equivalence' "
+        "'incremental' asserts a --no-incremental run is bit-identical "
+        "to the incremental run; 'equivalence' "
         "asserts AM6xx-proved workload pairs tune bit-identically — "
         "the contracts behind the service cache)",
     )
@@ -485,13 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--max-suggestions", type=int, default=20_000)
-    submit.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="server-side process-pool size for this job (execution "
-        "knob: does not change the result or the cache key)",
-    )
     submit.add_argument(
         "--machine-param",
         action="append",
@@ -596,12 +573,10 @@ def _cmd_tune(args) -> int:
             incremental=not args.no_incremental,
         ),
         space=app.space(machine),
-        workers=args.workers,
         static_prune=not args.no_static_prune,
         bound_prune=not args.no_bound_prune,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume is not None,
-        worker_timeout=args.worker_timeout,
         trace=args.trace,
         metrics_out=args.metrics_out,
     )
@@ -905,7 +880,6 @@ def _cmd_submit(args) -> int:
         "spill": not args.no_spill,
         "static_prune": not args.no_static_prune,
         "bound_prune": not args.no_bound_prune,
-        "workers": args.workers,
         "incremental": not args.no_incremental,
         "checkpoint_every": args.checkpoint_every,
     }

@@ -16,7 +16,7 @@ Public surface:
   budgets and the final top-5 re-evaluation protocol of §5;
 - :class:`~repro.core.oracle.SimulationOracle` — the evaluation oracle
   (repeated noisy runs, averaging, dedup, invalid/OOM rejection, and
-  process-pool batch evaluation);
+  static pruning);
 - :class:`~repro.core.profiles.ProfileDatabase` — per-mapping performance
   samples with JSON persistence;
 - :mod:`~repro.core.spacefile` — the search-space representation file

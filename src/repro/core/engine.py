@@ -30,7 +30,6 @@ from repro.machine.model import Machine
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
 from repro.resilience.checkpoint import CheckpointManager, TuningCheckpoint
-from repro.resilience.supervisor import SupervisorStats
 from repro.runtime.simulator import SimConfig, Simulator
 from repro.search.base import SearchAlgorithm, SearchResult
 from repro.search.ccd import ConstrainedCoordinateDescent
@@ -118,10 +117,10 @@ class TuningReport:
     symmetry_folds: int = 0
     #: Novel mappings the runtime machinery processed (deterministic
     #: executions plus in-planner OOM discoveries).  Bounds run no
-    #: engine, so an untraced ``workers=1`` tune's count equals its
-    #: engine runs.  After a resume this counts only the work done since
-    #: the restart — checkpointed evaluations replay without touching
-    #: the runtime machinery.
+    #: engine, so an untraced tune's count equals its engine runs.
+    #: After a resume this counts only the work done since the restart
+    #: — checkpointed evaluations replay without touching the runtime
+    #: machinery.
     simulations: int = 0
     #: Fault-tolerance accounting (repro.resilience).
     resumed: bool = False
@@ -129,8 +128,6 @@ class TuningReport:
     replayed: int = 0
     #: Checkpoints written during this run.
     checkpoints_written: int = 0
-    #: Worker-pool recovery events (timeouts, rebuilds, retries, ...).
-    recovery: SupervisorStats = field(default_factory=SupervisorStats)
     #: Observability (repro.obs).  ``metrics`` is the full registry
     #: snapshot; ``telemetry`` the per-round summary (None when no
     #: telemetry sink was attached); ``trace``/``breakdown`` the best
@@ -176,8 +173,6 @@ class TuningReport:
             lines.append(
                 f"  checkpoints: {self.checkpoints_written} written"
             )
-        if self.recovery.any_events:
-            lines.append(f"  recovery: {self.recovery.describe()}")
         if self.telemetry is not None:
             lines.append(
                 f"  telemetry: {self.telemetry['rounds']} rounds, "
@@ -219,14 +214,12 @@ class TuneRequest:
     #: A caller-provided space may restrict the searched kinds (fixed
     #: decisions, §3.3) — e.g. Maestro tunes only the LF ensemble.
     space: Optional[SearchSpace] = None
-    workers: int = 1
     static_prune: bool = True
     bound_prune: bool = True
     bound_order: bool = True
     checkpoint_path: Optional[Union[str, Path]] = None
     checkpoint_every: int = 0
     resume_checkpoint: Optional[TuningCheckpoint] = None
-    worker_timeout: Optional[float] = None
     observers: Optional[
         Tuple[Callable[[SimulationOracle], None], ...]
     ] = None
@@ -260,8 +253,6 @@ class PreparedTune:
         self.simulator = Simulator(
             request.graph, request.machine, self.sim_config
         )
-        if request.workers < 1:
-            raise ValueError("workers must be >= 1")
 
         self.checkpoint_path = (
             None
@@ -401,8 +392,6 @@ class TuningEngine:
             canonicalizer=prepared.canonicalizer,
             feasibility=prepared.feasibility,
             bounds=prepared.bounds,
-            workers=request.workers,
-            worker_timeout=request.worker_timeout,
         )
         rng = RngStream(request.seed).fork("search", algorithm.name)
 
@@ -442,7 +431,6 @@ class TuningEngine:
                 machine=request.machine.name,
                 algorithm=algorithm.name,
                 space_log2=round(prepared.space.log2_size(), 1),
-                workers=request.workers,
                 resume=request.resume_checkpoint is not None,
             )
         )
@@ -494,7 +482,6 @@ class TuningEngine:
                 algorithm.bound_analyzer = None
             if telemetry is not None:
                 telemetry.close()
-            oracle.close()
         if manager is not None:
             manager.flush()
 
@@ -556,7 +543,6 @@ class TuningEngine:
             resumed=request.resume_checkpoint is not None,
             replayed=oracle.replayed,
             checkpoints_written=0 if manager is None else manager.saves,
-            recovery=oracle.stats,
             metrics=metrics,
             telemetry=(
                 None if telemetry is None else telemetry.summary()

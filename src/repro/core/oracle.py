@@ -13,47 +13,21 @@ measurement protocol of §5 and the accounting of §5.3:
 * a simulated search clock advances by the measured sample times plus a
   per-suggestion overhead, giving Figure 9's x-axis (search time) and
   §5.3's evaluating-time fraction without needing hours of wall clock.
-
-With ``workers > 1`` the oracle also fans the expensive part of
-evaluation — the deterministic simulation of previously-unseen valid
-mappings — out over a supervised process pool
-(:class:`repro.parallel.pool.SupervisedPool`), while keeping every
-observable result bit-identical to ``workers=1``.  The trick is a strict
-split between *computing* and *accounting*:
-
-* :meth:`SimulationOracle.prefetch` runs the deterministic simulations
-  of a batch's cache misses in worker processes and absorbs the results
-  into the simulator's memo cache.  It touches no accounting — no
-  suggestion counters, no search clock, no trace.
-* :meth:`SimulationOracle.evaluate_many` prefetches, then runs the batch
-  through the ordinary :meth:`SimulationOracle.evaluate` in submission
-  order.  Every evaluation is now a pure cache hit plus noise draws
-  (noise is a pure function of seed, mapping key, and run index), so
-  ``suggested``, ``evaluated``, ``sim_elapsed`` and the §5.3 trace
-  advance exactly as the serial path would have advanced them.
-
-With ``workers=1`` no process is ever spawned and the batch API degrades
-to the serial path, so one code path in the search layer serves both
-modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.bounds import FLOAT_SAFETY
 from repro.obs.metrics import MetricsRegistry, WallBudget
-from repro.parallel.pool import BATCH_DEPTH, SupervisedPool
-from repro.parallel.spec import SimulatorSpec
 from repro.resilience.checkpoint import ReplayEntry
-from repro.resilience.supervisor import SupervisorStats
 from repro.runtime.executor import ExecutionReport
 
 from repro.core.profiles import ProfileDatabase
 from repro.mapping.mapping import Mapping
-from repro.mapping.validate import explain_invalid
 from repro.runtime.memory import OOMError
 from repro.runtime.simulator import Simulator
 from repro.search.base import INFEASIBLE, EvalOutcome, TracePoint
@@ -105,12 +79,7 @@ class OracleConfig:
 
 
 class SimulationOracle:
-    """Concrete :class:`repro.search.base.Oracle` over the simulator.
-
-    Besides the protocol it offers the batch API the search layer
-    discovers by duck typing: ``batch_size``, ``peek``, ``prefetch`` and
-    ``evaluate_many``.  Call :meth:`close` to stop the worker processes.
-    """
+    """Concrete :class:`repro.search.base.Oracle` over the simulator."""
 
     def __init__(
         self,
@@ -120,13 +89,7 @@ class SimulationOracle:
         canonicalizer=None,
         feasibility=None,
         bounds=None,
-        workers: int = 1,
-        worker_timeout: Optional[float] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if worker_timeout is not None and worker_timeout <= 0:
-            raise ValueError("worker_timeout must be positive (or None)")
         self.simulator = simulator
         self.config = config or OracleConfig()
         self.profiles = profiles if profiles is not None else ProfileDatabase()
@@ -207,19 +170,6 @@ class SimulationOracle:
         #: excluded from checkpoint replay ledgers, since an
         #: uninterrupted run never *evaluated* them.
         self._settled_keys: set = set()
-        #: Worker-pool recovery events, counted in the same registry.
-        self.stats = SupervisorStats(registry=self.metrics)
-        #: The process pool :meth:`prefetch` warms the simulator cache
-        #: from (None with ``workers=1``).  ``worker_timeout`` is its
-        #: per-candidate wall-clock limit.
-        self._pool: Optional[SupervisedPool] = None
-        if workers > 1:
-            self._pool = SupervisedPool(
-                SimulatorSpec.of(simulator),
-                workers,
-                self.stats,
-                timeout=worker_timeout,
-            )
 
     # ------------------------------------------------------------------
     # Registry-backed accounting (attribute API preserved)
@@ -335,10 +285,6 @@ class SimulationOracle:
         """
         self._replay = dict(entries)
 
-    def _replay_pending(self, mapping: Mapping) -> bool:
-        """Whether ``mapping`` has a not-yet-consumed ledger entry."""
-        return bool(self._replay) and mapping.key() in self._replay
-
     def pending_replay_entries(self) -> List[ReplayEntry]:
         """Ledger entries the replayed search has not reached yet
         (carried forward when a resumed run is checkpointed again)."""
@@ -401,9 +347,7 @@ class SimulationOracle:
         self._suggested.inc()
         self._sim_elapsed.inc(self.config.suggestion_overhead)
 
-        reason = explain_invalid(
-            self.simulator.graph, self.simulator.machine, mapping
-        )
+        reason = self.simulator.invalid_reason(mapping)
         if reason is not None:
             self._invalid.inc()
             return EvalOutcome(
@@ -539,13 +483,6 @@ class SimulationOracle:
         bound = self._candidate_bound(mapping)
         return bound if bound is not None and bound >= best else None
 
-    def would_bound_prune(self, mapping: Mapping) -> bool:
-        """Whether :meth:`evaluate` would reject ``mapping`` (canonical)
-        on its static bound right now.  Used by :meth:`prefetch` to skip
-        doomed candidates; monotone over a search, since the incumbent
-        only improves."""
-        return self._pruning_bound(mapping) is not None
-
     def settle_pruned(self, top_n: int) -> int:
         """Measure the pruned candidates that could reach the top-``n``
         final-candidate stage, so the profiles database ranks finalists
@@ -612,152 +549,6 @@ class SimulationOracle:
             self._bound_settled.inc()
             settled += 1
         return settled
-
-    # ------------------------------------------------------------------
-    # Batch API (see the module docstring)
-    # ------------------------------------------------------------------
-    @property
-    def batch_size(self) -> int:
-        """How many candidates the search layer should group per batch
-        (1 = serial; algorithms fall back to one-at-a-time loops)."""
-        if self._pool is None:
-            return 1
-        return self._pool.workers * BATCH_DEPTH
-
-    @property
-    def pool_started(self) -> bool:
-        """Whether worker processes are running right now (never with
-        ``workers=1``)."""
-        return self._pool is not None and self._pool.started
-
-    def peek(self, mapping: Mapping) -> Optional[float]:
-        """The performance :meth:`evaluate` *would* report for
-        ``mapping`` if it is already decided — recorded profile or
-        validity rejection — without consuming any budget or touching
-        any statistic.  Returns None for candidates that would need an
-        execution.  Used by speculative batch generation (e.g. the
-        ensemble tuner predicting a generation ahead).
-
-        Replay-pending candidates (checkpoint resume) also report None:
-        the original run answered None for them before their execution,
-        and diverging here would steer a resumed speculation differently
-        from the uninterrupted run.
-        """
-        simulator = self.simulator
-        if explain_invalid(simulator.graph, simulator.machine, mapping):
-            return INFEASIBLE
-        mapping = self.canonical(mapping)
-        record = self.profiles.lookup(mapping)
-        if record is not None:
-            return INFEASIBLE if record.failed else record.mean
-        if self._replay_pending(mapping):
-            return None
-        feasibility = self.feasibility
-        if feasibility is not None and not feasibility.is_feasible(mapping):
-            return INFEASIBLE
-        return None
-
-    def prefetch(self, mappings: Iterable[Mapping]) -> int:
-        """Execute the batch's cache misses in worker processes and
-        absorb their deterministic results into the simulator cache.
-
-        Deduplicates within the batch, skips invalid candidates and
-        candidates already known to the profiles database, the replay
-        ledger, or the simulator cache, and trims to the remaining
-        suggestion / evaluation budget so a speculative batch cannot run
-        far past the search's end.  Returns the number of mappings
-        submitted to workers (0 with ``workers=1`` or after degradation
-        to serial — the serial path computes lazily).  Mappings that
-        fail with out-of-memory in a worker are left uncached;
-        :meth:`evaluate` reproduces the failure from this process's own
-        memory planner.
-        """
-        if self._pool is None or self._pool.serial_only:
-            return 0
-        simulator = self.simulator
-        feasibility = self.feasibility
-        budget = self._remaining_budget()
-        todo: List[Mapping] = []
-        seen = set()
-        for mapping in mappings:
-            if budget is not None and len(todo) >= budget:
-                break
-            if explain_invalid(simulator.graph, simulator.machine, mapping):
-                continue
-            # Workers simulate the canonical representative — the same
-            # mapping evaluate() will execute — so equivalent candidates
-            # collapse to one worker run and one cache entry.
-            mapping = self.canonical(mapping)
-            key = mapping.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            if simulator.cached(mapping) is not None:
-                continue
-            if self.profiles.lookup(mapping) is not None:
-                continue
-            if self._replay_pending(mapping):
-                # A checkpointed evaluation replays for free — a worker
-                # simulation would be discarded anyway.
-                continue
-            if feasibility is not None and not feasibility.is_feasible(mapping):
-                # evaluate() proves the OOM statically; a worker
-                # simulation would be discarded anyway.
-                continue
-            if self.would_bound_prune(mapping):
-                # evaluate() will prune this candidate from its static
-                # lower bound (the best-so-far only improves between now
-                # and then, so the prune decision cannot flip back); a
-                # worker simulation would be discarded anyway.
-                continue
-            todo.append(mapping)
-        if not todo:
-            return 0
-
-        preloaded = 0
-        for mapping, result in zip(todo, self._pool.run(todo)):
-            if (
-                result is not None
-                and result.ok
-                and simulator.preload(mapping, result.to_sim_result())
-            ):
-                preloaded += 1
-        _LOG.debug(kv("prefetch", submitted=len(todo), preloaded=preloaded))
-        return len(todo)
-
-    def evaluate_many(
-        self, mappings: Sequence[Mapping]
-    ) -> List[EvalOutcome]:
-        """Evaluate a batch of candidates, results identical to calling
-        :meth:`evaluate` in a loop — same outcomes, same accounting, same
-        trace order.  Stops once the budget is exhausted (mirroring the
-        serial loops' between-candidate checks), so the returned list may
-        be shorter than the input."""
-        self.prefetch(mappings)
-        outcomes: List[EvalOutcome] = []
-        for mapping in mappings:
-            if self.exhausted:
-                break
-            outcomes.append(self.evaluate(mapping))
-        return outcomes
-
-    def _remaining_budget(self) -> Optional[int]:
-        """Upper bound on evaluations the search can still pay for, from
-        the suggestion/evaluation limits (None = unbounded)."""
-        cfg = self.config
-        bounds = []
-        if cfg.max_suggestions is not None:
-            bounds.append(cfg.max_suggestions - self.suggested)
-        if cfg.max_evaluations is not None:
-            bounds.append(cfg.max_evaluations - self.evaluated)
-        if not bounds:
-            return None
-        return max(0, min(bounds))
-
-    def close(self) -> None:
-        """Shut the worker processes down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
 
     # ------------------------------------------------------------------
     def kind_runtimes(self, mapping: Mapping) -> Dict[str, float]:

@@ -54,12 +54,10 @@ class AutoMapSession:
         sim_config: Optional[SimConfig] = None,
         seed: int = 0,
         space=None,
-        workers: int = 1,
         static_prune: bool = True,
         bound_prune: bool = True,
         checkpoint_every: int = 0,
         resume: bool = False,
-        worker_timeout: Optional[float] = None,
         trace: bool = False,
         metrics_out: Optional[Union[str, Path]] = None,
         telemetry: bool = True,
@@ -122,13 +120,11 @@ class AutoMapSession:
                 sim_config=sim_config,
                 seed=seed,
                 space=space,
-                workers=workers,
                 static_prune=static_prune,
                 bound_prune=bound_prune,
                 checkpoint_path=checkpoint_path,
                 checkpoint_every=checkpoint_every,
                 resume_checkpoint=resume_checkpoint,
-                worker_timeout=worker_timeout,
                 telemetry=self.telemetry,
                 trace=trace,
             )

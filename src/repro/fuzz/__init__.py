@@ -1,14 +1,14 @@
 """Soundness fuzzing: seeded random (generator, machine, search-config)
-triples checked against the pipeline's five invariants.
+triples checked against the pipeline's six invariants.
 
 The paper's search treats the simulator as ground truth, so the pieces
 that *reason about* simulations — static lower bounds, equivalence
-canonicalization, machine-symmetry folding, checkpoint/resume, and the
-execution-mode identities (parallel workers, incremental simulation)
-the service's result cache relies on — must never disagree with it.  :mod:`repro.fuzz` stress-tests exactly
-those contracts over the synthetic generator families
-(:mod:`repro.generators`) and the machine zoo
-(:mod:`repro.machine.builders`), shrinks any failure to a minimal
+canonicalization, machine-symmetry folding, checkpoint/resume, the
+incremental-simulation identity and the workload-equivalence proofs
+the service's result cache relies on — must never disagree with it.
+:mod:`repro.fuzz` stress-tests exactly those contracts over the
+synthetic generator families (:mod:`repro.generators`) and the machine
+zoo (:mod:`repro.machine.builders`), shrinks any failure to a minimal
 reproducer, and persists it to a corpus replayed as regression tests
 (``tests/property/corpus/``).
 

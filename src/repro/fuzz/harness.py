@@ -11,11 +11,10 @@ Invariants (violating any one is a bug in the repo, never in the case):
    mapping leaves the simulated makespan bit-equal.
 4. **resume** — a tuning run killed mid-search and resumed from its
    checkpoint reports bit-identically to the uninterrupted run.
-5. **parallel** — execution knobs are result-invariant: a two-worker
-   parallel tune and a full (non-incremental) simulation tune both
-   report bit-identically to the serial incremental run.  This is the
-   contract that lets the service's result cache ignore ``workers`` /
-   ``incremental`` when fingerprinting a workload
+5. **incremental** — the simulation mode is result-invariant: a full
+   (non-incremental) simulation tune reports bit-identically to the
+   incremental run.  This is the contract that lets the service's
+   result cache ignore ``incremental`` when fingerprinting a workload
    (:mod:`repro.service.fingerprint`).
 6. **equivalence** — when the AM6xx prover
    (:mod:`repro.analysis.equivalence`) declares a perturbed workload
@@ -71,7 +70,7 @@ INVARIANTS = (
     "canonical",
     "relabel",
     "resume",
-    "parallel",
+    "incremental",
     "equivalence",
 )
 
@@ -315,22 +314,15 @@ def _check_resume(case: FuzzCase, workdir: Path) -> List[Violation]:
     ]
 
 
-def _check_parallel(case: FuzzCase) -> List[Violation]:
-    """Invariant 5: the execution knobs the service cache ignores
-    (``workers``, ``incremental``) really are result-invariant."""
+def _check_incremental(case: FuzzCase) -> List[Violation]:
+    """Invariant 5: the simulation mode the service cache ignores
+    (``incremental``) really is result-invariant."""
     baseline = _tune(case)
-    violations: List[Violation] = []
-    parallel = _tune(case, workers=2)
-    violations.extend(
-        Violation("parallel", f"workers=2: {diff}")
-        for diff in _report_diffs(baseline, parallel)
-    )
     full = _tune(case, incremental=False)
-    violations.extend(
-        Violation("parallel", f"incremental=False: {diff}")
+    return [
+        Violation("incremental", f"incremental=False: {diff}")
         for diff in _report_diffs(baseline, full)
-    )
-    return violations
+    ]
 
 
 def _check_equivalence(case: FuzzCase) -> List[Violation]:
@@ -456,8 +448,8 @@ def run_case(
                     )
             else:
                 result.violations.extend(_check_resume(case, workdir))
-        if "parallel" in invariants:
-            result.violations.extend(_check_parallel(case))
+        if "incremental" in invariants:
+            result.violations.extend(_check_incremental(case))
         if "equivalence" in invariants:
             result.violations.extend(_check_equivalence(case))
     except Exception:

@@ -310,29 +310,6 @@ class Machine:
         return self._channels.get(tuple(sorted((mem_a, mem_b))))
 
     # ------------------------------------------------------------------
-    # Kind-level access characteristics (used by the task cost model)
-    # ------------------------------------------------------------------
-    def typical_access_bandwidth(
-        self, proc_kind: ProcKind, mem_kind: MemKind
-    ) -> Optional[float]:
-        """Representative access bandwidth for a (proc kind, mem kind)
-        pair: the maximum over concrete access links of that shape.
-
-        Returns ``None`` when the pair is not addressable on this machine.
-        The cost model uses kind-level bandwidths because AutoMap's
-        factored search space never distinguishes concrete devices of the
-        same kind (paper §3.2).
-        """
-        best: Optional[float] = None
-        for (proc_uid, mem_uid), link in self._access.items():
-            if (
-                self._procs_by_uid[proc_uid].kind == proc_kind
-                and self._mems_by_uid[mem_uid].kind == mem_kind
-            ):
-                if best is None or link.bandwidth > best:
-                    best = link.bandwidth
-        return best
-
     def total_capacity(self, kind: MemKind) -> int:
         """Total capacity (bytes) over all memories of ``kind``."""
         return sum(m.capacity for m in self.memories_of_kind(kind))

@@ -8,7 +8,7 @@ a valid mapping may still fail with OOM at execution (§3.1), which the
 evaluation oracle reports separately.
 
 The actual checking lives in :mod:`repro.analysis.validity` (one shared
-implementation, also used by the parallel workers and ``repro analyze``);
+implementation, also used by the simulator and ``repro analyze``);
 this module keeps the historical exception-and-string API.
 """
 

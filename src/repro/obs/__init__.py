@@ -15,10 +15,8 @@ makes both inspectable without perturbing either:
   emitted by the search algorithms and streamed to a machine-readable
   ``telemetry.jsonl`` artifact.
 * :mod:`repro.obs.metrics` — a lightweight counter/gauge/histogram
-  registry replacing the ad-hoc counter attributes that used to be
-  scattered across the oracle, the batch engine, and the worker
-  supervisor; serialized into reports and checkpoints without breaking
-  resume bit-identity.
+  registry holding the oracle's evaluation accounting; serialized into
+  reports and checkpoints without breaking resume bit-identity.
 """
 
 from repro.obs.metrics import (

@@ -1,15 +1,15 @@
 """A lightweight metrics registry (counters, gauges, histograms).
 
 One tuning run accumulates dozens of scalar statistics: suggestion and
-evaluation counts, canonicalization folds, static prunes, worker-pool
-recovery events, the simulated search clock.  Historically each lived as
-an ad-hoc attribute on whichever object happened to increment it; the
-registry gives them one home with uniform naming (``oracle.suggested``,
-``supervisor.timeouts``, ...), one serialization (:meth:`MetricsRegistry.
-as_dict`, embedded in reports and checkpoints), and one invariant: a
-metric is *derived state*.  Resume never restores metrics from a
-checkpoint — the deterministic replay re-derives every value — so
-serializing them can never break resume bit-identity.
+evaluation counts, canonicalization folds, static prunes, the
+simulated search clock.  Historically each lived as an ad-hoc attribute
+on whichever object happened to increment it; the registry gives them
+one home with uniform naming (``oracle.suggested``,
+``oracle.bound_pruned``, ...), one serialization
+(:meth:`MetricsRegistry.as_dict`, embedded in reports and checkpoints),
+and one invariant: a metric is *derived state*.  Resume never restores
+metrics from a checkpoint — the deterministic replay re-derives every
+value — so serializing them can never break resume bit-identity.
 
 The wall-clock machinery search budgeting needs (formerly
 ``repro.util.timer``) lives here too: :class:`Stopwatch` is the

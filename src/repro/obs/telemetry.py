@@ -1,8 +1,8 @@
 """Per-round search telemetry (§5.3's search statistics, per round).
 
 A *round* is one natural unit of a search algorithm's outer loop — a
-coordinate (task kind) within a CD/CCD rotation, one generation of
-random search, one bandit generation of the ensemble tuner.  At each
+coordinate (task kind) within a CD/CCD rotation, one draw of random
+search, one bandit suggestion of the ensemble tuner.  At each
 round boundary the algorithm snapshots the oracle's counters; the delta
 between boundaries says what the round cost (oracle calls, executed
 evaluations, invalid / folded / statically-pruned candidates) and what

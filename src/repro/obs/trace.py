@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.util.serialization import dump_json, load_json
 
@@ -75,9 +75,7 @@ class TraceRecorder:
     The runtime only ever calls the ``record_*`` methods; everything
     else is export/analysis.  Spans arrive in the executor's
     deterministic scheduling order, so two recordings of the same
-    (graph, machine, mapping) triple are identical — including across
-    serial vs. multi-worker tuning runs, which converge on the same best
-    mapping by the prefetch-then-replay bit-identity argument.
+    (graph, machine, mapping) triple are identical.
     """
 
     def __init__(self, label: str = "") -> None:

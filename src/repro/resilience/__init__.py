@@ -2,20 +2,10 @@
 
 The AutoMap loop treats the runtime as a black-box oracle queried
 thousands of times (§5); on real clusters those sessions must survive
-worker crashes, hangs, and preemption.  This package provides the three
-pieces that make a tuning run restartable and crash-safe:
-
-* :mod:`repro.resilience.checkpoint` — periodic, atomically-replaced
-  snapshots of the full search state, and the deterministic replay
-  ledger that lets ``repro tune --resume`` continue a killed run to a
-  bit-identical result;
-* :mod:`repro.resilience.supervisor` — recovery statistics for the
-  process-pool supervision in :class:`repro.parallel.pool.SupervisedPool`
-  (per-candidate timeouts, bounded retries, pool rebuilds, graceful
-  degradation to serial evaluation);
-* :mod:`repro.resilience.faults` — a deterministic, env-keyed fault
-  injection harness so tests and CI can prove the recovery paths
-  preserve bit-identical results.
+crashes and preemption.  :mod:`repro.resilience.checkpoint` makes a
+tuning run restartable: periodic, atomically-replaced snapshots of the
+full search state, and the deterministic replay ledger that lets
+``repro tune --resume`` continue a killed run to a bit-identical result.
 """
 
 from repro.resilience.checkpoint import (
@@ -26,15 +16,11 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
     try_load_checkpoint,
 )
-from repro.resilience.faults import FaultPlan
-from repro.resilience.supervisor import SupervisorStats
 
 __all__ = [
     "CheckpointManager",
     "CheckpointMismatch",
-    "FaultPlan",
     "ReplayEntry",
-    "SupervisorStats",
     "TuningCheckpoint",
     "load_checkpoint",
     "try_load_checkpoint",

@@ -25,9 +25,7 @@ repository is deterministic given the oracle's answers, so the replayed
 search takes exactly the original trajectory (cheaply: ledger hits cost
 a dictionary lookup), reaches the interruption point in the same state,
 and continues.  A run killed at any checkpoint boundary and resumed is
-therefore **bit-identical** to an uninterrupted run with the same seed —
-the same guarantee, by the same prefetch-then-replay argument, that
-makes parallel evaluation equal serial evaluation.
+therefore **bit-identical** to an uninterrupted run with the same seed.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ cost one execution plus cheap noise draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
+from repro.analysis.validity import explain_problems
 from repro.machine.model import Machine
 from repro.mapping.mapping import Mapping
-from repro.mapping.validate import MappingError, validate
+from repro.mapping.validate import MappingError
 from repro.runtime.executor import ExecutionReport, Executor
 from repro.runtime.incremental import IncrementalEngine, IncrementalStats
 from repro.runtime.memory import MemoryPlanner, OOMError
@@ -46,13 +47,13 @@ class SimConfig:
         When True (the default), untraced executions run through the
         incremental engine (per-launch cost memoisation, see
         :mod:`repro.runtime.incremental`), spill plans and noise
-        factors are memoised, the memory planner rules a mapping in
+        factors are memoised, and the memory planner rules a mapping in
         from decision-free per-slot byte totals before any footprint
-        union, and repeated validations of one mapping key are
-        deduplicated.  Results are byte-identical to the full path;
+        union.  Results are byte-identical to the full path;
         ``--no-incremental`` turns the whole bundle off (an unfiltered
         planner and an uncached noise model), which is what the CI
-        identity gate measures against.
+        identity gate measures against.  The validity verdict of a
+        mapping key is memoised in both modes.
     """
 
     noise_sigma: float = 0.04
@@ -120,8 +121,10 @@ class Simulator:
         self._spill_cache: Optional[Dict[tuple, Mapping]] = (
             {} if incremental else None
         )
-        #: Mapping keys already validated (validation is pure per key).
-        self._validated: Optional[Set[tuple]] = set() if incremental else None
+        #: Validity verdict per mapping key: the joined violation
+        #: messages, or ``None`` for a valid key (validation is pure per
+        #: key, so each key is checked once).
+        self._verdicts: Dict[tuple, Optional[str]] = {}
         #: Deterministic executions performed (cache misses) — used by
         #: search-efficiency statistics.
         self.executions = 0
@@ -142,8 +145,8 @@ class Simulator:
         OOMError
             If instances overflow a memory and spill is disabled.
         """
+        self._validate(mapping)
         key = mapping.key()
-        self._validate(mapping, key)
         cached = self._cache.get(key)
         if cached is None:
             try:
@@ -175,19 +178,23 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    def _validate(self, mapping: Mapping, key: tuple) -> None:
-        """Validate ``mapping``, skipping keys already known valid.
+    def invalid_reason(self, mapping: Mapping) -> Optional[str]:
+        """Why ``mapping`` violates a kind-level validity constraint
+        (:func:`repro.analysis.validity.explain_problems`), or ``None``
+        when it is valid; checked once per mapping key."""
+        key = mapping.key()
+        try:
+            return self._verdicts[key]
+        except KeyError:
+            reason = explain_problems(self.graph, self.machine, mapping)
+            self._verdicts[key] = reason
+            return reason
 
-        Validation is a pure function of the mapping key, so the dedup
-        cannot change outcomes; invalid mappings raise before the key is
-        recorded and therefore re-raise on every call, like the uncached
-        path.
-        """
-        if self._validated is not None and key in self._validated:
-            return
-        validate(self.graph, self.machine, mapping)
-        if self._validated is not None:
-            self._validated.add(key)
+    def _validate(self, mapping: Mapping) -> None:
+        """Raise :class:`MappingError` if ``mapping`` is invalid."""
+        reason = self.invalid_reason(mapping)
+        if reason is not None:
+            raise MappingError(reason)
 
     def _resolve_spill(self, mapping: Mapping, key: tuple) -> Mapping:
         """The mapping execution would actually run, memoised per key.
@@ -227,33 +234,6 @@ class Simulator:
         return self._resolve_spill(mapping, key)
 
     # ------------------------------------------------------------------
-    # Deterministic-result cache plumbing (used by repro.parallel to
-    # absorb results computed in worker processes).
-    # ------------------------------------------------------------------
-    def cached(self, mapping: Mapping) -> Optional[SimResult]:
-        """The memoised deterministic result for ``mapping``, if any."""
-        return self._cache.get(mapping.key())
-
-    def preload(self, mapping: Mapping, result: SimResult) -> bool:
-        """Insert an externally-computed deterministic result into the
-        memo cache, so a later :meth:`run` of the same mapping is a pure
-        cache hit (plus noise draws).  The result must have been produced
-        by an identically-configured simulator — e.g. by a worker process
-        that rebuilt this simulator from its picklable spec.  Counts as
-        one execution when actually inserted; returns False when the
-        mapping was already cached."""
-        key = mapping.key()
-        if key in self._cache:
-            return False
-        self._cache[key] = SimResult(
-            makespan=result.makespan,
-            executed_mapping=result.executed_mapping,
-            report=result.report,
-        )
-        self.executions += 1
-        return True
-
-    # ------------------------------------------------------------------
     def trace(self, mapping: Mapping, label: str = ""):
         """Re-execute ``mapping`` with a span recorder attached.
 
@@ -272,9 +252,8 @@ class Simulator:
         """
         from repro.obs.trace import TraceRecorder
 
-        key = mapping.key()
-        self._validate(mapping, key)
-        executed = self._resolve_spill(mapping, key)
+        self._validate(mapping)
+        executed = self._resolve_spill(mapping, mapping.key())
         recorder = TraceRecorder(label=label)
         report = self._executor.run(executed, recorder=recorder)
         result = SimResult(
@@ -287,12 +266,11 @@ class Simulator:
     # ------------------------------------------------------------------
     def memory_demand(self, mapping: Mapping):
         """Static footprint report for ``mapping`` (no execution)."""
-        validate(self.graph, self.machine, mapping)
+        self._validate(mapping)
         return self.planner.check(mapping)
 
     def clear_cache(self) -> None:
         self._cache.clear()
         if self._spill_cache is not None:
             self._spill_cache.clear()
-        if self._validated is not None:
-            self._validated.clear()
+        self._verdicts.clear()

@@ -106,14 +106,7 @@ class CoordinateDescent(SearchAlgorithm):
         colgraph: Optional[CollectionGraph],
     ) -> Tuple[Mapping, float]:
         """OptimizeTask (Alg. 1 lines 10-19); ``colgraph`` enables the
-        co-location constraints of line 17.
-
-        Each phase's move-set is materialised up front so a batching
-        oracle can speculatively evaluate the whole coordinate in
-        parallel (the moves are independent given the incumbent); the
-        accept/reject walk itself stays strictly serial, so results are
-        identical to the one-at-a-time path.
-        """
+        co-location constraints of line 17."""
         # Lines 11-12: the distribution setting.
         current, performance = self._descend(
             oracle,
@@ -206,44 +199,25 @@ class CoordinateDescent(SearchAlgorithm):
 
         Each candidate is built once per incumbent: the candidates
         ``_order_moves`` built to rank the moves are tested until the
-        first accept, and after an accept only the remaining tail is
-        rebuilt, from the new incumbent.  When the oracle supports
-        batching, every such list is prefetched, so the serial walk
-        mostly hits the cache.  The walk itself — and therefore the
-        result and every search statistic — is independent of whether
-        prefetching happened.
+        first accept, and after an accept each remaining move is built
+        from the new incumbent when tested.
         """
         if oracle.exhausted:
             return current, performance
         moves, candidates = self._order_moves(moves, current)
-        prefetch = getattr(oracle, "prefetch", None)
-        batching = (
-            prefetch is not None and getattr(oracle, "batch_size", 1) > 1
-        )
-        if batching:
-            if candidates is None:
-                candidates = [build(current) for build in moves]
-            prefetch(candidates)
-        # ``candidates[i]`` is move ``offset + i`` built from the
-        # incumbent; with no list, each move is built when tested.
-        offset = 0
         for index, build in enumerate(moves):
             if oracle.exhausted:
                 break
             if candidates is None:
                 candidate = build(current)
             else:
-                candidate = candidates[index - offset]
+                candidate = candidates[index]
             previous = current
             current, performance = self._test(
                 oracle, candidate, current, performance
             )
             if current is not previous:
                 candidates = None
-                if batching:
-                    offset = index + 1
-                    candidates = [build(current) for build in moves[offset:]]
-                    prefetch(candidates)
         return current, performance
 
     def _order_moves(

@@ -13,23 +13,11 @@ the structural properties the paper's comparison relies on:
   are not executed (the oracle deduplicates), so the tuner suggests
   orders of magnitude more mappings than it measures — the §5.3
   statistic (OpenTuner: ~157 202 suggested, ~273 evaluated on Pennant).
-
-With a batching oracle the tuner *speculates a generation ahead*: it
-clones the tuner state, bandit, and techniques, predicts the next batch
-of suggestions (outcomes of already-known candidates are exact via the
-oracle's ``peek``; unknown candidates are assumed non-improving — the
-overwhelmingly common case), and prefetches the unknowns in parallel.
-The real suggestion loop then replays serially against live state, so
-results are bit-identical to the serial tuner: a wrong prediction only
-costs prefetch misses, never correctness.  The per-suggestion rng is
-forked from the absolute suggestion counter, so speculation and replay
-see identical random streams.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
@@ -98,7 +86,6 @@ class EnsembleTuner(SearchAlgorithm):
         best_mapping = seed_mapping
         best_performance = seed_outcome.performance
 
-        batch_size = max(1, getattr(oracle, "batch_size", 1))
         suggestions = 0
         while not oracle.exhausted:
             if (
@@ -108,38 +95,24 @@ class EnsembleTuner(SearchAlgorithm):
                 break
             self._set_cursor(suggestions=suggestions)
             self._round_begin(oracle)
-            if batch_size > 1:
-                self._speculate(
-                    space, oracle, state, bandit, by_name, rng,
-                    suggestions, batch_size,
-                )
-            for _ in range(batch_size):
-                if oracle.exhausted:
-                    break
-                if (
-                    self.max_suggestions is not None
-                    and suggestions >= self.max_suggestions
-                ):
-                    break
-                arm = bandit.select()
-                technique = by_name[arm]
-                vector = technique.suggest(
-                    state, rng.fork("suggest", str(suggestions))
-                )
-                suggestions += 1
-                mapping = space.decode(vector)
-                outcome = oracle.evaluate(mapping)
-                improved = state.record(vector, outcome.performance)
-                bandit.report(arm, improved)
-                if improved and outcome.performance < best_performance:
-                    best_mapping = mapping
-                    best_performance = outcome.performance
+            arm = bandit.select()
+            technique = by_name[arm]
+            vector = technique.suggest(
+                state, rng.fork("suggest", str(suggestions))
+            )
+            suggestions += 1
+            mapping = space.decode(vector)
+            outcome = oracle.evaluate(mapping)
+            improved = state.record(vector, outcome.performance)
+            bandit.report(arm, improved)
+            if improved and outcome.performance < best_performance:
+                best_mapping = mapping
+                best_performance = outcome.performance
             self._round_end(oracle)
 
         _LOG.info(
             kv(
                 "ensemble-done",
-                batched=batch_size > 1,
                 best=best_performance,
                 suggestions=suggestions,
                 usage=str(bandit.usage()),
@@ -155,52 +128,3 @@ class EnsembleTuner(SearchAlgorithm):
             suggested=getattr(oracle, "suggested", suggestions),
             evaluated=getattr(oracle, "evaluated", 0),
         )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _speculate(
-        space: SearchSpace,
-        oracle: Oracle,
-        state: TunerState,
-        bandit: AUCBandit,
-        by_name: Dict[str, Technique],
-        rng: RngStream,
-        start: int,
-        count: int,
-    ) -> None:
-        """Predict the next ``count`` suggestions on cloned tuner state
-        and prefetch the candidates that would need an execution.
-
-        Known candidates (profiled, duplicated, or invalid) get their
-        exact predicted outcome from the oracle's ``peek``; unknown ones
-        are assumed non-improving, so a prediction only diverges from the
-        real loop after an unknown candidate turns out to be a new best —
-        rare, and merely a prefetch miss when it happens.  The clones
-        guarantee the speculation leaves no trace on live state (the
-        pattern-search technique, for one, mutates its cursor in
-        ``suggest``).
-        """
-        peek = getattr(oracle, "peek", None)
-        prefetch = getattr(oracle, "prefetch", None)
-        if peek is None or prefetch is None:
-            return
-        sim_state = copy.deepcopy(state)
-        sim_bandit = copy.deepcopy(bandit)
-        sim_techniques = copy.deepcopy(by_name)
-        unknown: List[Mapping] = []
-        for offset in range(count):
-            arm = sim_bandit.select()
-            vector = sim_techniques[arm].suggest(
-                sim_state, rng.fork("suggest", str(start + offset))
-            )
-            mapping = space.decode(vector)
-            known = peek(mapping)
-            if known is None:
-                unknown.append(mapping)
-                predicted = float("inf")
-            else:
-                predicted = known
-            improved = sim_state.record(vector, predicted)
-            sim_bandit.report(arm, improved)
-        if unknown:
-            prefetch(unknown)

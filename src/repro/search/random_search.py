@@ -3,12 +3,6 @@
 Draws valid mappings uniformly at random until the budget runs out.
 Used in tests (any real algorithm should beat it on structured problems)
 and as one of the techniques inside the ensemble tuner.
-
-Random draws are independent, so with a batching oracle the search
-submits generation-sized batches: drawing a generation up front consumes
-the rng identically to drawing one-by-one (evaluation uses no
-randomness), and the oracle replays the batch in submission order, so
-results are bit-identical to the serial loop.
 """
 
 from __future__ import annotations
@@ -50,33 +44,18 @@ class RandomSearch(SearchAlgorithm):
     ) -> SearchResult:
         best = start if start is not None else space.default_mapping()
         best_perf = oracle.evaluate(best).performance
-        batch_size = max(1, getattr(oracle, "batch_size", 1))
         draws = 0
         while not oracle.exhausted:
             if self.max_draws is not None and draws >= self.max_draws:
                 break
             self._set_cursor(draws=draws)
             self._round_begin(oracle)
-            generation = batch_size
-            if self.max_draws is not None:
-                generation = min(generation, self.max_draws - draws)
-            batch = [
-                space.random_mapping(rng, valid=True)
-                for _ in range(generation)
-            ]
-            outcomes = (
-                oracle.evaluate_many(batch)
-                if generation > 1
-                else [oracle.evaluate(batch[0])]
-            )
-            # The oracle stops a batch mid-way when the budget runs out;
-            # unconsumed draws are discarded, exactly as the serial loop
-            # would never have drawn them.
-            draws += len(outcomes)
+            candidate = space.random_mapping(rng, valid=True)
+            outcome = oracle.evaluate(candidate)
+            draws += 1
             self._round_end(oracle)
-            for candidate, outcome in zip(batch, outcomes):
-                if outcome.performance < best_perf:
-                    best, best_perf = candidate, outcome.performance
+            if outcome.performance < best_perf:
+                best, best_perf = candidate, outcome.performance
         return SearchResult(
             algorithm=self.name,
             best_mapping=best if best_perf < INFEASIBLE else None,

@@ -14,10 +14,10 @@ of four components:
    channels) plus the space's fixed decisions;
 3. the **semantic search configuration** (algorithm, seed, budget,
    noise, spill, pruning passes) — execution knobs with a bit-identity
-   contract (``workers``, ``incremental``, ``checkpoint_every``) are
-   deliberately excluded: serial/parallel (PR 1), checkpointed (PR 3)
-   and incremental/full (PR 6) runs return byte-identical results, a
-   contract the ``parallel`` fuzz invariant re-checks per case;
+   contract (``incremental``, ``checkpoint_every``) are deliberately
+   excluded: checkpointed and incremental/full runs return
+   byte-identical results, contracts the ``resume`` and ``incremental``
+   fuzz invariants re-check per case;
 4. the **canonicalized start mapping**:
    :class:`repro.analysis.canonical.Canonicalizer` folds provably
    unobservable choices (dead distribute bits, zero-byte memory

@@ -6,16 +6,16 @@ counters that legitimately differ between an uninterrupted run and a
 killed-and-resumed one.  The service's contractual artifact is therefore
 ``result.json``, built from exactly the fields the resilience replay
 contract guarantees bit-identical — the same field list the fuzz
-harness's resume and parallel invariants compare:
+harness's resume and incremental invariants compare:
 
 ``best_mapping``, ``best_mean``, ``best_stddev``, the best-so-far search
 ``trace``, ``suggested`` / ``evaluated`` / ``invalid_suggestions`` /
 ``failed_evaluations``, ``search_seconds`` (the *simulated* search
 clock), and the ``finalists`` table.
 
-Everything outside that list (simulation counts, wall seconds, worker
-recovery stats) varies with ``workers`` / ``incremental`` / checkpoint
-placement and is reported per-job via ``GET /jobs/<id>`` instead — it
+Everything outside that list (simulation counts, wall seconds) varies
+with ``incremental`` / checkpoint placement and is reported per-job via
+``GET /jobs/<id>`` instead — it
 must never leak into the cached artifact, or a cache hit could not be
 byte-identical to a recomputation.
 """

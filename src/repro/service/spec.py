@@ -12,11 +12,11 @@ Two groups of knobs are distinguished on purpose:
   budget, noise, spill mode, pruning passes, start mapping) and are part
   of the cache fingerprint (:mod:`repro.service.fingerprint`);
 * **execution** knobs change only *how* the run is carried out
-  (``workers``, ``incremental``, ``checkpoint_every``) — the repository
-  contracts (PR 1, PR 3, PR 6; fuzzed per-case by the ``parallel``
-  invariant) guarantee bit-identical results across them, so they are
-  excluded from the fingerprint and a cached result legitimately serves
-  any of them.
+  (``incremental``, ``checkpoint_every``) — the resume and
+  incremental-simulation contracts (fuzzed per case by the ``resume``
+  and ``incremental`` invariants) guarantee bit-identical results across
+  them, so they are excluded from the fingerprint and a cached result
+  legitimately serves any of them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "JobSpec",
     "MAX_NODES",
     "MAX_SUGGESTIONS",
-    "MAX_WORKERS",
     "SEMANTIC_FIELDS",
     "EXECUTION_FIELDS",
     "spec_json_bytes",
@@ -46,11 +45,6 @@ _FORMAT = "automap-job-v1"
 #: (helix, 24 nodes).  Submission routes every ordered memory pair of
 #: the machine, so its cost grows steeply with the node count.
 MAX_NODES = 24
-
-#: Largest worker-process count a job may ask for.  The tune's process
-#: pool forks every worker at its first batch inside the service
-#: process, so an unbounded count is a fork bomb.
-MAX_WORKERS = 32
 
 #: Largest suggestion budget, and checkpoint interval, a job may ask
 #: for.  The paper's largest §5.3 run takes 157,202 OpenTuner
@@ -79,7 +73,6 @@ SEMANTIC_FIELDS: Tuple[str, ...] = (
 
 #: Result-preserving execution knobs (never fingerprinted).
 EXECUTION_FIELDS: Tuple[str, ...] = (
-    "workers",
     "incremental",
     "checkpoint_every",
 )
@@ -115,7 +108,6 @@ class JobSpec:
     #: are one workload.
     start_mapping: Optional[dict] = None
     # ------------------------------------------------------------ (exec)
-    workers: int = 1
     incremental: bool = True
     checkpoint_every: int = 10
 
@@ -140,8 +132,6 @@ class JobSpec:
             raise ValueError(f"nodes must be between 1 and {MAX_NODES}")
         if not isinstance(self.machine_params, dict):
             raise ValueError("machine_params must be an object")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
         if not 1 <= self.max_suggestions <= MAX_SUGGESTIONS:
             raise ValueError(
                 f"max_suggestions must be between 1 and {MAX_SUGGESTIONS}"
@@ -174,7 +164,6 @@ class JobSpec:
             "static_prune": self.static_prune,
             "bound_prune": self.bound_prune,
             "start_mapping": self.start_mapping,
-            "workers": self.workers,
             "incremental": self.incremental,
             "checkpoint_every": self.checkpoint_every,
         }
@@ -283,7 +272,7 @@ class JobSpec:
 
 
 #: Spec fields a document must give as JSON integers / JSON booleans.
-_INT_FIELDS = ("nodes", "seed", "max_suggestions", "workers", "checkpoint_every")
+_INT_FIELDS = ("nodes", "seed", "max_suggestions", "checkpoint_every")
 _FLAG_FIELDS = ("spill", "static_prune", "bound_prune", "incremental")
 
 _DEFAULTS = {f.name: f.default for f in fields(JobSpec)}

@@ -135,7 +135,6 @@ class JobWorker(threading.Thread):
             ),
             seed=spec.seed,
             space=space,
-            workers=spec.workers,
             static_prune=spec.static_prune,
             bound_prune=spec.bound_prune,
             checkpoint_every=spec.checkpoint_every,

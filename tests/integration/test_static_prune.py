@@ -33,7 +33,7 @@ def graph_and_space(machine):
     return app.graph(machine), app.space(machine)
 
 
-def _tune(graph, space, machine, static_prune, workers=1):
+def _tune(graph, space, machine, static_prune):
     request = TuneRequest(
         graph,
         machine,
@@ -41,7 +41,6 @@ def _tune(graph, space, machine, static_prune, workers=1):
         oracle_config=OracleConfig(max_suggestions=3000),
         sim_config=SimConfig(noise_sigma=0.03, seed=31, spill=False),
         space=space,
-        workers=workers,
         static_prune=static_prune,
         # This suite measures the static-pruning layer in isolation;
         # best-bound-first ordering would dodge most of the dead
@@ -77,23 +76,3 @@ def test_static_pruning_finds_identical_best_mapping(reports):
     # Every failed evaluation the plain search paid was either proven
     # statically or never enumerated by the pruned search.
     assert pruned.failed_evaluations <= plain.failed_evaluations
-
-
-def test_static_pruning_bit_identical_across_workers(
-    graph_and_space, machine, reports
-):
-    graph, space = graph_and_space
-    serial, _plain = reports
-    parallel = _tune(
-        graph, space, machine, static_prune=True, workers=2
-    )
-    assert parallel.best_mapping.key() == serial.best_mapping.key()
-    assert parallel.best_mean == serial.best_mean
-    assert parallel.best_stddev == serial.best_stddev
-    assert parallel.suggested == serial.suggested
-    assert parallel.evaluated == serial.evaluated
-    assert parallel.static_oom_pruned == serial.static_oom_pruned
-    assert parallel.canonical_folds == serial.canonical_folds
-    assert [f[1] for f in parallel.finalists] == [
-        f[1] for f in serial.finalists
-    ]

@@ -17,7 +17,6 @@ from repro.obs.metrics import (
     Stopwatch,
     WallBudget,
 )
-from repro.resilience.supervisor import SupervisorStats
 
 
 class FakeClock:
@@ -148,29 +147,6 @@ class TestMetricsRegistry:
         assert list(doc["counters"]) == ["a.count", "z.count"]
         assert doc["gauges"]["best"] is None
         assert doc["histograms"]["sizes"]["count"] == 1
-
-
-class TestSupervisorStats:
-    def test_attribute_api(self):
-        stats = SupervisorStats()
-        assert not stats.any_events
-        stats.timeouts += 1
-        stats.pool_rebuilds += 2
-        stats.serial_fallback = True
-        assert stats.timeouts == 1
-        assert stats.pool_rebuilds == 2
-        assert stats.serial_fallback
-        assert stats.any_events
-        assert "1 timeouts" in stats.describe()
-        assert "degraded to serial" in stats.describe()
-
-    def test_shared_registry(self):
-        registry = MetricsRegistry()
-        stats = SupervisorStats(registry=registry)
-        stats.worker_errors += 3
-        doc = registry.as_dict()
-        assert doc["counters"]["supervisor.worker_errors"] == 3
-        assert doc["gauges"]["supervisor.serial_fallback"] is None
 
 
 class TestPrometheusExport:

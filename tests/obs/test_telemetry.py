@@ -171,36 +171,6 @@ class TestDriverWiring:
         # The algorithm's sink is detached after the tune.
         assert session.prepared.algorithm.telemetry is None
 
-    def test_telemetry_identical_serial_vs_workers(self, tmp_path):
-        """Everything except wall_seconds is derived from the simulated
-        search, so serial and 2-worker runs must agree line for line."""
-
-        def run(name, workers):
-            session = AutoMapSession(
-                build_diamond_graph(),
-                shepard(1),
-                algorithm="ccd",
-                workdir=tmp_path / name,
-                oracle_config=OracleConfig(max_suggestions=120),
-                sim_config=SimConfig(noise_sigma=0.04, seed=11),
-                seed=11,
-                workers=workers,
-            )
-            session.tune()
-            return load_telemetry(tmp_path / name / TELEMETRY_FILENAME)
-
-        def stripped(records):
-            return [
-                {
-                    k: v
-                    for k, v in r.to_doc().items()
-                    if k != "wall_seconds"
-                }
-                for r in records
-            ]
-
-        assert stripped(run("serial", 1)) == stripped(run("workers", 2))
-
 
 class TestBoundPruneTelemetry:
     def test_bound_pruned_delta(self):

@@ -193,7 +193,7 @@ class TestGantt:
 
 
 class TestEndToEndTraceIdentity:
-    """`repro tune --trace` invariants, including serial vs workers."""
+    """`repro tune --trace` invariants."""
 
     SESSION_KW = dict(
         algorithm="ccd",
@@ -216,15 +216,13 @@ class TestEndToEndTraceIdentity:
         report = session.tune()
         return report, workdir
 
-    def test_traced_equals_untraced_and_serial_equals_workers(
-        self, tmp_path
-    ):
+    def test_traced_equals_untraced(self, tmp_path):
         machine = shepard(1)
         graph = build_diamond_graph()
         untraced = AutoMapSession(
             graph, machine, **self.SESSION_KW
         ).tune()
-        traced, workdir = self._tune(tmp_path, "serial")
+        traced, workdir = self._tune(tmp_path, "traced")
         # Tracing must not change the result at all.
         assert traced.best_mean == untraced.best_mean
         assert traced.best_mapping == untraced.best_mapping
@@ -232,11 +230,3 @@ class TestEndToEndTraceIdentity:
 
         trace_doc = json.loads((workdir / TRACE_FILENAME).read_text())
         assert validate_chrome_trace(trace_doc) > 0
-
-        # Two workers converge on the same best mapping (prefetch-then-
-        # replay bit-identity), hence on the byte-identical trace.
-        parallel, workdir2 = self._tune(tmp_path, "workers", workers=2)
-        assert parallel.best_mean == traced.best_mean
-        assert (workdir2 / TRACE_FILENAME).read_text() == (
-            workdir / TRACE_FILENAME
-        ).read_text()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.service.spec import EXECUTION_FIELDS, SEMANTIC_FIELDS, JobSpec
 
-INT_FIELDS = ("nodes", "seed", "max_suggestions", "workers", "checkpoint_every")
+INT_FIELDS = ("nodes", "seed", "max_suggestions", "checkpoint_every")
 FLAG_FIELDS = ("spill", "static_prune", "bound_prune", "incremental")
 
 

@@ -167,21 +167,6 @@ class TestKillThenResume:
         assert resumed.replayed == baseline.evaluated
         assert_reports_identical(baseline, resumed)
 
-    def test_resume_with_parallel_workers(self, tmp_path):
-        """Resume composes with the process pool: replay short-circuits
-        ledgered candidates while new work still fans out to workers."""
-        baseline, _ = kill_and_resume("stencil", "ccd", tmp_path)
-        path = tmp_path / "checkpoint.json"
-        parallel = tune(
-            "stencil",
-            "ccd",
-            checkpoint_path=path,
-            checkpoint_every=5,
-            resume_checkpoint=load_checkpoint(path),
-            workers=2,
-        )
-        assert_reports_identical(baseline, parallel)
-
 
 class TestBoundPruneResume:
     """Bound pruning (on by default above) composes with kill/resume:

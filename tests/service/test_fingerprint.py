@@ -128,7 +128,6 @@ class TestSubmissionNormalization:
     def test_execution_knobs_do_not_enter_fingerprint(self):
         base = JobSpec(app="stencil")
         for changes in (
-            {"workers": 4},
             {"incremental": False},
             {"checkpoint_every": 1},
         ):

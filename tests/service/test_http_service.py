@@ -18,7 +18,7 @@ import pytest
 from repro.mapping.io import mapping_to_doc
 from repro.service import JobSpec, JobState, MappingService, make_server
 from repro.service.http import MAX_BODY_BYTES, _Handler
-from repro.service.spec import MAX_SUGGESTIONS, MAX_WORKERS
+from repro.service.spec import MAX_SUGGESTIONS
 from repro.service.store import JOB_FILENAME
 
 SPEC = {"app": "stencil", "max_suggestions": 40, "checkpoint_every": 1}
@@ -168,7 +168,6 @@ class TestEndToEnd:
         # byte-identical report.
         resubmit = {
             "checkpoint_every": 5,
-            "workers": 2,
             "max_suggestions": 40,
             "app": "stencil",
             "incremental": False,
@@ -222,11 +221,12 @@ class TestErrorPaths:
         assert status == 400
         assert "bogus" in doc["error"]
 
-    def test_too_many_workers_is_400(self, service_url):
-        spec = dict(SPEC, workers=MAX_WORKERS + 1)
-        status, doc = _post(f"{service_url}/jobs", spec)
+    def test_workers_field_is_400(self, service_url):
+        """Every tune runs in one process: the former ``workers`` knob
+        is an unknown field, even at its old default of 1."""
+        status, doc = _post(f"{service_url}/jobs", dict(SPEC, workers=1))
         assert status == 400
-        assert "workers must be between" in doc["error"]
+        assert doc["error"] == "unknown job-spec field(s): ['workers']"
 
     def test_oversized_budget_is_400(self, service_url):
         spec = dict(SPEC, algorithm="opentuner", max_suggestions=10**12)

@@ -8,7 +8,6 @@ from repro.service.spec import (
     EXECUTION_FIELDS,
     MAX_NODES,
     MAX_SUGGESTIONS,
-    MAX_WORKERS,
     SEMANTIC_FIELDS,
     JobSpec,
 )
@@ -31,7 +30,6 @@ class TestValidation:
         "field,value",
         [
             ("nodes", 0),
-            ("workers", 0),
             ("max_suggestions", 0),
             ("noise_sigma", -0.1),
             ("checkpoint_every", -1),
@@ -51,7 +49,6 @@ class TestValidation:
             ("nodes", True),
             ("seed", 1.5),
             ("max_suggestions", "10"),
-            ("workers", None),
             ("noise_sigma", "0.04"),
             ("noise_sigma", False),
         ],
@@ -66,11 +63,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="nodes"):
             JobSpec.from_doc({"app": "stencil", "nodes": MAX_NODES + 1})
 
-    def test_worker_count_is_bounded(self):
-        spec = JobSpec.from_doc({"app": "stencil", "workers": MAX_WORKERS})
-        assert spec.workers == MAX_WORKERS
-        with pytest.raises(ValueError, match="workers"):
-            JobSpec.from_doc({"app": "stencil", "workers": MAX_WORKERS + 1})
+    def test_workers_field_is_refused(self):
+        """Every tune runs in one process: a document carrying the
+        former ``workers`` knob, even at its old default, is refused
+        like any other unknown field."""
+        for value in (1, 2):
+            with pytest.raises(ValueError, match=r"unknown job-spec field.*workers"):
+                JobSpec.from_doc({"app": "stencil", "workers": value})
 
     @pytest.mark.parametrize("field", ["max_suggestions", "checkpoint_every"])
     def test_budget_and_checkpoint_interval_are_bounded(self, field):
@@ -106,7 +105,6 @@ class TestRoundtrip:
             algorithm="cd",
             seed=7,
             max_suggestions=123,
-            workers=3,
             incremental=False,
         )
         assert JobSpec.from_doc(spec.to_doc()) == spec

@@ -66,21 +66,33 @@ class TestParser:
                 "submit",
                 "--app",
                 "stencil",
-                "--workers",
-                "2",
                 "--no-incremental",
                 "--wait",
             ]
         )
-        assert args.workers == 2
         assert args.no_incremental
         assert args.wait
 
-    def test_fuzz_accepts_parallel_invariant(self):
+    def test_fuzz_accepts_incremental_invariant(self):
         args = build_parser().parse_args(
-            ["fuzz", "--invariant", "parallel"]
+            ["fuzz", "--invariant", "incremental"]
         )
-        assert args.invariant == ["parallel"]
+        assert args.invariant == ["incremental"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tune", "--app", "stencil", "--workers", "2"],
+            ["tune", "--app", "stencil", "--worker-timeout", "5"],
+            ["submit", "--app", "stencil", "--workers", "2"],
+            ["fuzz", "--invariant", "parallel"],
+        ],
+    )
+    def test_removed_options_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -186,7 +186,6 @@ class TestTieredBoundPrune:
     ):
         oracle, bounds = self._oracle(diamond_graph, mini_machine, 2.0)
         mapping = diamond_space.default_mapping()
-        assert oracle.would_bound_prune(mapping)
         outcome = oracle.evaluate(mapping)
         assert bounds.lower_bound_calls == 0
         # The pruned outcome carries the bound that decided.
@@ -198,7 +197,6 @@ class TestTieredBoundPrune:
     ):
         oracle, bounds = self._oracle(diamond_graph, mini_machine, 0.5)
         mapping = diamond_space.default_mapping()
-        assert not oracle.would_bound_prune(mapping)
         outcome = oracle.evaluate(mapping)
         assert bounds.lower_bound_calls == 0
         assert oracle.bound_pruned == 0
